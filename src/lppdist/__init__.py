@@ -32,6 +32,7 @@ from .lpp import (
     exact_cdf_dp,
     last_passage,
     mc_cdf,
+    mc_cdfs,
     one_step_transition,
     sample_grid,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "exact_cdf_dp",
     "last_passage",
     "mc_cdf",
+    "mc_cdfs",
     "one_step_transition",
     "sample_grid",
     "CdfQuery",

@@ -10,8 +10,10 @@ literal such as 1/2 or 3/10, never as a decimal.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -20,13 +22,9 @@ import mpmath
 
 from .detformulas import CdfQuery, cdf_det, joint_cdf, transition_det, TransitionQuery
 from .fredholm import KernelSpec, cdf_biorth, cdf_fredholm
-from .lpp import OrderedVector, StateSpaceError, exact_cdf_dp, mc_cdf
-from .meixner import (
-    MeixnerEnsembleQuery,
-    PrecisionLossError,
-    meixner_cdf_bruteforce,
-    meixner_cdf_gram,
-)
+from .lpp import OrderedVector, StateSpaceError, exact_cdf_dp, mc_cdf, mc_cdfs
+from .meixner import (MeixnerEnsembleQuery, PrecisionLossError, meixner_cdf_bruteforce,
+                      meixner_cdf_gram)
 from .weights import ContourConfig, GeometricParameter, QuadratureError
 
 __all__ = ["main", "REPORT_SCHEMA", "METHOD_ENTRY_SCHEMA", "CROSSCHECK_METHODS"]
@@ -35,12 +33,89 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
 
-CROSSCHECK_METHODS = ("biorth", "det", "dp", "fredholm", "mc", "meixner")
-
 #: Absolute tolerance declared by the float-valued formula routes.
 NUMERIC_TOL = 1e-8
-#: Monte Carlo agreement band in standard errors.
+#: z of the Wilson score interval that bounds Monte Carlo agreement.
 MC_SIGMA = 4.0
+#: Seeds key a Philox stream, whose keys lie in [0, 2**128).
+SEED_LIMIT = 2**128
+
+#: Typed errors on valid arguments: reported as a message, never as a traceback.
+_ROUTE_ERRORS = (ValueError, StateSpaceError, QuadratureError, PrecisionLossError)
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _contour_for(args) -> ContourConfig:
+    overrides = {key: getattr(args, key) for key in ("r2", "r1", "nodes")
+                 if getattr(args, key) is not None}
+    return dataclasses.replace(ContourConfig.for_q(args.q), **overrides)
+
+
+def _wilson_reach(p: float, samples: int) -> float:
+    """Distance from p to the far end of its Wilson score interval at z = MC_SIGMA.
+
+    Unlike MC_SIGMA standard errors, the band stays open at p = 0 and p = 1,
+    where it is z^2 / (samples + z^2) wide.
+    """
+    z2n = MC_SIGMA**2 / samples
+    centre = (p + z2n / 2) / (1 + z2n)
+    half = MC_SIGMA * math.sqrt(p * (1 - p) / samples + z2n / (4 * samples)) / (1 + z2n)
+    return abs(p - centre) + half
+
+
+def _exact(value: Fraction):
+    return {"value": _fmt(value), "exact": str(value), "error_estimate": "0"}, 0.0, value
+
+
+def _numeric(value: float, **extra):
+    fields = {"value": _fmt(value), "exact": None, "error_estimate": _fmt(NUMERIC_TOL), **extra}
+    return fields, NUMERIC_TOL, value
+
+
+def _meixner(args, m: int, n: int):
+    query = MeixnerEnsembleQuery(args.q, m, n, args.eta)
+    if getattr(args, "route", "bruteforce") == "bruteforce":
+        return _exact(meixner_cdf_bruteforce(query))
+    value = meixner_cdf_gram(query, precision=args.precision)
+    return {"value": mpmath.nstr(value, 17), "exact": None, "error_estimate": None}, 0.0, value
+
+
+def _fredholm(args, m: int, n: int):
+    spec = KernelSpec(args.q, m, n, variant=args.variant, cfg=_contour_for(args))
+    value, increment = cdf_fredholm(spec, args.eta, args.trunc, allow_printed=True)
+    return _numeric(value, increment=_fmt(increment))
+
+
+def _mc_fields(p: float, stderr: float) -> dict:
+    return {"value": _fmt(p), "exact": None, "error_estimate": _fmt(stderr)}
+
+
+def _mc(args, m: int, n: int):
+    p, stderr = mc_cdf(args.q, m, n, args.eta, args.samples, args.seed)
+    return _mc_fields(p, stderr), _wilson_reach(p, args.samples), p
+
+
+#: method -> (whether the route transposes m < n grids, evaluator).  An evaluator
+#: maps (args, m, n) to (report fields, agreement tolerance, value compared with
+#: the other routes: a Fraction for exact routes, else a float).  It looks the
+#: library functions up as module globals each time it runs.
+ROUTES = {
+    "biorth": (True, lambda args, m, n: _numeric(
+        cdf_biorth(KernelSpec(args.q, m, n, cfg=_contour_for(args)), args.eta))),
+    "det": (True, lambda args, m, n: _exact(cdf_det(CdfQuery(args.q, m, n, args.eta)))),
+    "dp": (False, lambda args, m, n: _exact(exact_cdf_dp(args.q, m, n, args.eta))),
+    "fredholm": (True, _fredholm),
+    "mc": (False, _mc),
+    "meixner": (True, _meixner),
+}
+
+CROSSCHECK_METHODS = tuple(ROUTES)
+
+#: CSV columns after the params for reports with one entry per method.
+METHOD_COLUMNS = ("method", "value", "exact", "error_estimate", "wall_ms", "failure")
 
 METHOD_ENTRY_SCHEMA = {
     "type": "object",
@@ -60,10 +135,7 @@ METHOD_ENTRY_SCHEMA = {
 _VALUE_SCHEMA = {
     "type": "object",
     "required": ["rational", "decimal"],
-    "properties": {
-        "rational": {"type": "string"},
-        "decimal": {"type": "string"},
-    },
+    "properties": {"rational": {"type": "string"}, "decimal": {"type": "string"}},
     "additionalProperties": False,
 }
 
@@ -73,18 +145,8 @@ REPORT_SCHEMA = {
     "type": "object",
     "required": ["command", "params"],
     "properties": {
-        "command": {
-            "enum": [
-                "simulate",
-                "cdf-det",
-                "cdf-meixner",
-                "cdf-biorth",
-                "cdf-fredholm",
-                "crosscheck",
-                "transition",
-                "joint",
-            ]
-        },
+        "command": {"enum": ["simulate", "cdf-det", "cdf-meixner", "cdf-biorth",
+                             "cdf-fredholm", "crosscheck", "transition", "joint"]},
         "params": {"type": "object"},
         "methods": {"type": "array", "items": METHOD_ENTRY_SCHEMA, "minItems": 1},
         "agreement": {"type": "boolean"},
@@ -117,15 +179,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _parse_q(text: str) -> GeometricParameter:
     if "." in text:
         raise argparse.ArgumentTypeError(
-            f"q must be an exact rational literal like 1/2 or 3/10, not a decimal ({text!r})"
-        )
+            f"q must be an exact rational literal like 1/2 or 3/10, not a decimal ({text!r})")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -157,394 +214,228 @@ def _parse_eta_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _positive(kind: str):
+def _parse_methods(text: str) -> list[str]:
+    """Sorted distinct method names; the dynamic-programming anchor is always added."""
+    names = {part.strip() for part in text.split(",")} - {""}
+    if not names:
+        raise argparse.ArgumentTypeError("method list must not be empty")
+    bad = sorted(names - set(ROUTES))
+    if bad:
+        raise argparse.ArgumentTypeError(
+            f"unknown methods {bad}; choose from {CROSSCHECK_METHODS}")
+    return sorted(names | {"dp"})
+
+
+def _int_in(kind: str, low: int, high: int | None = None):
+    """Parser of an integer in [low, high), or of one >= low when high is None."""
+
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{kind} must be >= 1, got {value}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{kind} must be >= {low}, got {value}")
+        if high is not None and value >= high:
+            raise argparse.ArgumentTypeError(f"{kind} must be < {high}, got {value}")
         return value
 
     return parse
 
 
-def _nonnegative(kind: str):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{kind} must be >= 0, got {value}")
-        return value
-
-    return parse
-
-
-def _contour_for(args, q: GeometricParameter) -> ContourConfig:
-    cfg = ContourConfig.for_q(q)
-    overrides = {}
-    if getattr(args, "r2", None) is not None:
-        overrides["r2"] = args.r2
-    if getattr(args, "r1", None) is not None:
-        overrides["r1"] = args.r1
-    if getattr(args, "nodes", None) is not None:
-        overrides["nodes"] = args.nodes
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+def _params(args, *names: str) -> dict:
+    return {name: str(args.q) if name == "q" else getattr(args, name) for name in names}
 
 
 def _rational_value(fr: Fraction) -> dict:
     return {"rational": str(fr), "decimal": _fmt(float(fr))}
 
 
-class MethodOutcome:
-    """One method's result inside a report: value, tolerance, and provenance."""
+def _run_method(name: str, args) -> tuple[dict, float, object]:
+    """Run one route, timed: (report entry, agreement tolerance, compared value).
 
-    def __init__(self, name):
-        self.name = name
-        self.exact: Fraction | None = None
-        self.value: float | None = None
-        self.tolerance: float = 0.0
-        self.error_estimate: str | None = None
-        self.increment: float | None = None
-        self.failure: str | None = None
-        self.wall_ms: float = 0.0
-
-    def entry(self, *, include_wall: bool = True) -> dict:
-        row: dict = {"method": self.name}
-        if self.failure is not None:
-            row["failure"] = self.failure
-        else:
-            row["value"] = _fmt(self.value)
-            row["exact"] = str(self.exact) if self.exact is not None else None
-            row["error_estimate"] = self.error_estimate
-            if self.increment is not None:
-                row["increment"] = _fmt(self.increment)
-        if include_wall:
-            row["wall_ms"] = round(self.wall_ms, 3)
-        return row
-
-
-def _run_method(name: str, args) -> MethodOutcome:
-    """Evaluate one distribution method; formula routes transpose m < n grids."""
-    out = MethodOutcome(name)
-    q, m, n, eta = args.q, args.m, args.n, args.eta
-    mm, nn = (m, n) if m >= n else (n, m)
+    A route that raises one of the typed errors is reported on stderr and in
+    the entry's `failure`; the other two items are then meaningless.
+    """
+    transposes, evaluate = ROUTES[name]
+    m, n = sorted((args.m, args.n), reverse=True) if transposes else (args.m, args.n)
     start = time.perf_counter()
     try:
-        if name == "dp":
-            out.exact = exact_cdf_dp(q, m, n, eta)
-            out.value = float(out.exact)
-            out.error_estimate = "0"
-        elif name == "det":
-            out.exact = cdf_det(CdfQuery(q, mm, nn, eta))
-            out.value = float(out.exact)
-            out.error_estimate = "0"
-        elif name == "meixner":
-            out.exact = meixner_cdf_bruteforce(MeixnerEnsembleQuery(q, mm, nn, eta))
-            out.value = float(out.exact)
-            out.error_estimate = "0"
-        elif name == "biorth":
-            spec = KernelSpec(q, mm, nn, cfg=_contour_for(args, q))
-            out.value = cdf_biorth(spec, eta)
-            out.tolerance = NUMERIC_TOL
-            out.error_estimate = _fmt(NUMERIC_TOL)
-        elif name == "fredholm":
-            variant = getattr(args, "kernel_variant", "derivation")
-            spec = KernelSpec(q, mm, nn, variant=variant, cfg=_contour_for(args, q))
-            value, increment = cdf_fredholm(
-                spec, eta, getattr(args, "trunc", 16), allow_printed=True
-            )
-            out.value = value
-            out.increment = increment
-            out.tolerance = NUMERIC_TOL
-            out.error_estimate = _fmt(NUMERIC_TOL)
-        elif name == "mc":
-            p, stderr = mc_cdf(q, m, n, eta, args.samples, args.seed)
-            out.value = p
-            out.tolerance = MC_SIGMA * stderr
-            out.error_estimate = _fmt(stderr)
-        else:
-            raise ValueError(f"unknown method {name!r}")
-    except (ValueError, StateSpaceError, QuadratureError, PrecisionLossError) as exc:
-        out.failure = str(exc)
-        print(f"method {name} failed: {exc}", file=sys.stderr)
-    out.wall_ms = (time.perf_counter() - start) * 1000.0
-    return out
+        fields, tolerance, value = evaluate(args, m, n)
+    except _ROUTE_ERRORS as exc:
+        print(f"error: method {name} failed: {exc}", file=sys.stderr)
+        fields, tolerance, value = {"failure": str(exc)}, 0.0, None
+    wall_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    return {"method": name, **fields, "wall_ms": wall_ms}, tolerance, value
 
 
-def _compare(outcomes: list[MethodOutcome]) -> tuple[bool, list[dict]]:
-    """Pairwise agreement among successful methods at their declared tolerances."""
-    done = [o for o in outcomes if o.failure is None]
+def _compare(results: list[tuple[dict, float, object]]) -> tuple[bool, list[dict]]:
+    """Pairwise agreement among successful methods at their summed tolerances.
+
+    Exact routes differ by a Fraction, so only equality passes their 0 tolerance.
+    """
+    done = [result for result in results if "failure" not in result[0]]
     comparisons = []
-    agree = len(done) >= 2
-    for i in range(len(done)):
-        for j in range(i + 1, len(done)):
-            a, b = done[i], done[j]
-            tolerance = a.tolerance + b.tolerance
-            if a.exact is not None and b.exact is not None:
-                ok = a.exact == b.exact
-                delta = abs(float(a.exact - b.exact))
-            else:
-                delta = abs(a.value - b.value)
-                ok = delta <= tolerance
-            comparisons.append(
-                {
-                    "pair": f"{a.name}/{b.name}",
-                    "delta": _fmt(delta),
-                    "tolerance": _fmt(tolerance),
-                    "ok": ok,
-                }
-            )
-            agree = agree and ok
-    return agree, comparisons
+    for i, (a, tol_a, value_a) in enumerate(done):
+        for b, tol_b, value_b in done[i + 1:]:
+            delta, tolerance = abs(value_a - value_b), tol_a + tol_b
+            comparisons.append({"pair": f"{a['method']}/{b['method']}", "delta": _fmt(delta),
+                                "tolerance": _fmt(tolerance), "ok": delta <= tolerance})
+    return len(done) >= 2 and all(c["ok"] for c in comparisons), comparisons
 
 
-def _emit(args, rows: list[dict], csv_fields: list[str], csv_rows: list[dict]) -> None:
-    if getattr(args, "csv", False):
-        import csv as _csv
+def _emit(args, rows: list[dict], columns: tuple[str, ...]) -> None:
+    """Print report rows as JSON Lines, or with --csv as CSV.
 
-        writer = _csv.DictWriter(sys.stdout, fieldnames=csv_fields)
-        writer.writeheader()
-        for row in csv_rows:
-            writer.writerow(row)
-    else:
+    A CSV record holds a row's params, then `columns`, drawn from one method
+    entry per record, from the row itself (`agreement`), or from its `value`
+    and `increment` split into `_rational` and `_decimal` cells.
+    """
+    if not args.csv:
         for row in rows:
             print(json.dumps(row, separators=(",", ":")))
-
-
-def _method_csv_rows(params: dict, outcomes: list[MethodOutcome], agreement=None):
-    rows = []
-    for out in outcomes:
-        row = dict(params)
-        row["method"] = out.name
-        row["value"] = "" if out.value is None else _fmt(out.value)
-        row["exact"] = str(out.exact) if out.exact is not None else ""
-        row["error_estimate"] = out.error_estimate or ""
-        row["wall_ms"] = round(out.wall_ms, 3)
-        row["failure"] = out.failure or ""
-        if agreement is not None:
-            row["agreement"] = agreement
-        rows.append(row)
-    return rows
+        return
+    writer = csv.DictWriter(sys.stdout, fieldnames=[*rows[0]["params"], *columns],
+                            extrasaction="ignore")
+    writer.writeheader()
+    for row in rows:
+        flat = {**row, **row["params"]}
+        for key in ("value", "increment"):
+            if isinstance(row.get(key), dict):
+                flat.update({f"{key}_{part}": text for part, text in row[key].items()})
+        for entry in row.get("methods", [{}]):
+            writer.writerow({**flat, **entry})
 
 
 def _cmd_simulate(args) -> int:
-    params_base = {"q": str(args.q), "m": args.m, "n": args.n,
-                   "samples": args.samples, "seed": args.seed}
-    rows = []
-    csv_rows = []
-    for eta in args.eta:
-        value, stderr = mc_cdf(args.q, args.m, args.n, eta, args.samples, args.seed)
-        params = dict(params_base, eta=eta)
-        entry = {
-            "method": "mc",
-            "value": _fmt(value),
-            "exact": None,
-            "error_estimate": _fmt(stderr),
-        }
-        rows.append({"command": "simulate", "params": params, "methods": [entry]})
-        csv_rows.append(
-            dict(params, method="mc", value=_fmt(value), error_estimate=_fmt(stderr))
-        )
-    fields = ["q", "m", "n", "samples", "seed", "eta", "method", "value", "error_estimate"]
-    _emit(args, rows, fields, csv_rows)
+    params = _params(args, "q", "m", "n", "samples", "seed")
+    estimates = mc_cdfs(args.q, args.m, args.n, args.eta, args.samples, args.seed)
+    rows = [{"command": "simulate", "params": dict(params, eta=eta),
+             "methods": [{"method": "mc", **_mc_fields(p, stderr)}]}
+            for eta, (p, stderr) in zip(args.eta, estimates)]
+    _emit(args, rows, ("method", "value", "error_estimate"))
     return EXIT_OK
 
 
-def _single_method_command(args, command: str, method: str) -> int:
-    outcome = _run_method(method, args)
-    if outcome.failure is not None:
+def _cmd_route(args) -> int:
+    """cdf-det, cdf-meixner, cdf-biorth and cdf-fredholm: one route, one row."""
+    entry, _, _ = _run_method(args.method, args)
+    if "failure" in entry:
         return EXIT_USAGE
-    params = {"q": str(args.q), "m": args.m, "n": args.n, "eta": args.eta}
-    if command == "cdf-meixner" and args.route == "gram":
-        params["route"] = "gram"
-        params["precision"] = args.precision
-    if command == "cdf-fredholm":
-        params["variant"] = args.kernel_variant
-        params["trunc"] = args.trunc
-    report = {
-        "command": command,
-        "params": params,
-        "methods": [outcome.entry()],
-    }
-    fields = list(params) + ["method", "value", "exact", "error_estimate", "wall_ms", "failure"]
-    _emit(args, [report], fields, _method_csv_rows(params, [outcome]))
+    gram = getattr(args, "route", None) == "gram"
+    extra = ("route", "precision") if gram else args.extra_params
+    params = _params(args, "q", "m", "n", "eta", *extra)
+    report = {"command": args.command, "params": params, "methods": [entry]}
+    _emit(args, [report], ("method", "value", "wall_ms") if gram else METHOD_COLUMNS)
     return EXIT_OK
-
-
-def _cmd_cdf_meixner(args) -> int:
-    if args.route == "gram":
-        mm, nn = (args.m, args.n) if args.m >= args.n else (args.n, args.m)
-        start = time.perf_counter()
-        try:
-            value = meixner_cdf_gram(
-                MeixnerEnsembleQuery(args.q, mm, nn, args.eta), precision=args.precision
-            )
-        except (ValueError, PrecisionLossError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        wall = (time.perf_counter() - start) * 1000.0
-        params = {
-            "q": str(args.q), "m": args.m, "n": args.n, "eta": args.eta,
-            "route": "gram", "precision": args.precision,
-        }
-        entry = {
-            "method": "meixner",
-            "value": mpmath.nstr(value, 17),
-            "exact": None,
-            "error_estimate": None,
-            "wall_ms": round(wall, 3),
-        }
-        report = {"command": "cdf-meixner", "params": params, "methods": [entry]}
-        fields = list(params) + ["method", "value", "wall_ms"]
-        csv_row = dict(params, method="meixner", value=mpmath.nstr(value, 17),
-                       wall_ms=round(wall, 3))
-        _emit(args, [report], fields, [csv_row])
-        return EXIT_OK
-    return _single_method_command(args, "cdf-meixner", "meixner")
 
 
 def _cmd_crosscheck(args) -> int:
-    methods = sorted(set(args.methods))
-    outcomes = [_run_method(name, args) for name in methods]
-    agreement, comparisons = _compare(outcomes)
-    params = {
-        "q": str(args.q), "m": args.m, "n": args.n, "eta": args.eta,
-        "samples": args.samples, "seed": args.seed,
-        "variant": args.kernel_variant,
-    }
-    report = {
-        "command": "crosscheck",
-        "params": params,
-        "methods": [o.entry() for o in outcomes],
-        "agreement": agreement,
-        "comparisons": comparisons,
-    }
-    fields = list(params) + [
-        "method", "value", "exact", "error_estimate", "wall_ms", "failure", "agreement",
-    ]
-    _emit(args, [report], fields, _method_csv_rows(params, outcomes, agreement))
+    results = [_run_method(name, args) for name in args.methods]
+    agreement, comparisons = _compare(results)
+    report = {"command": "crosscheck",
+              "params": _params(args, "q", "m", "n", "eta", "samples", "seed", "variant"),
+              "methods": [entry for entry, _, _ in results],
+              "agreement": agreement, "comparisons": comparisons}
+    _emit(args, [report], METHOD_COLUMNS + ("agreement",))
     return EXIT_OK if agreement else EXIT_DISAGREE
 
 
 def _cmd_transition(args) -> int:
     if len(args.x) != len(args.y):
-        print("error: endpoint vectors must have equal length", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("endpoint vectors must have equal length")
     value = transition_det(TransitionQuery(args.q, args.steps, args.x, args.y))
-    params = {
-        "q": str(args.q), "steps": args.steps,
-        "x": ",".join(str(v) for v in args.x),
-        "y": ",".join(str(v) for v in args.y),
-    }
+    params = dict(_params(args, "q", "steps"),
+                  x=",".join(str(v) for v in args.x), y=",".join(str(v) for v in args.y))
     report = {"command": "transition", "params": params, "value": _rational_value(value)}
-    fields = list(params) + ["value_rational", "value_decimal"]
-    csv_row = dict(params, value_rational=str(value), value_decimal=_fmt(float(value)))
-    _emit(args, [report], fields, [csv_row])
+    _emit(args, [report], ("value_rational", "value_decimal"))
     return EXIT_OK
 
 
 def _cmd_joint(args) -> int:
-    trunc = args.trunc if args.trunc is not None else max(args.eta1, args.eta2) + 8
-    value, increment = joint_cdf(args.q, args.m, args.n, args.eta1, args.eta2, trunc)
-    params = {
-        "q": str(args.q), "m": args.m, "n": args.n,
-        "eta1": args.eta1, "eta2": args.eta2, "trunc": trunc,
-    }
-    report = {
-        "command": "joint",
-        "params": params,
-        "value": _rational_value(value),
-        "increment": _rational_value(increment),
-    }
-    fields = list(params) + [
-        "value_rational", "value_decimal", "increment_rational", "increment_decimal",
-    ]
-    csv_row = dict(
-        params,
-        value_rational=str(value), value_decimal=_fmt(float(value)),
-        increment_rational=str(increment), increment_decimal=_fmt(float(increment)),
-    )
-    _emit(args, [report], fields, [csv_row])
+    if args.trunc is None:
+        args.trunc = max(args.eta1, args.eta2) + 8
+    value, increment = joint_cdf(args.q, args.m, args.n, args.eta1, args.eta2, args.trunc)
+    report = {"command": "joint", "params": _params(args, "q", "m", "n", "eta1", "eta2", "trunc"),
+              "value": _rational_value(value), "increment": _rational_value(increment)}
+    _emit(args, [report],
+          ("value_rational", "value_decimal", "increment_rational", "increment_decimal"))
     return EXIT_OK
 
 
-def _add_model_args(sub, *, eta_list: bool = False, eta: bool = True) -> None:
+def _add_model_args(sub, *, eta_list: bool = False) -> None:
     sub.add_argument("--q", type=_parse_q, required=True,
                      help="geometric parameter as an exact rational, e.g. 1/2")
-    sub.add_argument("--m", type=_positive("m"), required=True, help="number of rows")
-    sub.add_argument("--n", type=_positive("n"), required=True, help="number of columns")
+    sub.add_argument("--m", type=_int_in("m", 1), required=True, help="number of rows")
+    sub.add_argument("--n", type=_int_in("n", 1), required=True, help="number of columns")
     if eta_list:
         sub.add_argument("--eta", type=_parse_eta_list, required=True,
                          help="threshold or comma list of thresholds")
-    elif eta:
-        sub.add_argument("--eta", type=_nonnegative("eta"), required=True,
+    else:
+        sub.add_argument("--eta", type=_int_in("eta", 0), required=True,
                          help="distribution threshold")
 
 
 def _add_contour_args(sub) -> None:
     sub.add_argument("--r2", type=float, help="inner contour radius (default (1/q)^(1/3))")
     sub.add_argument("--r1", type=float, help="outer contour radius (default (1/q)^(2/3))")
-    sub.add_argument("--nodes", type=_positive("nodes"), help="starting quadrature node count")
+    sub.add_argument("--nodes", type=_int_in("nodes", 1), help="starting quadrature node count")
+
+
+def _add_fredholm_args(sub) -> None:
+    sub.add_argument("--trunc", type=_int_in("trunc", 1), default=16,
+                     help="initial finite-section size")
+    sub.add_argument("--kernel-variant", choices=("derivation", "printed"),
+                     default="derivation", dest="variant")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lppdist",
-        description="Evaluate and cross-validate last-passage time distributions.",
-    )
+    parser = _Parser(prog="lppdist",
+                     description="Evaluate and cross-validate last-passage time distributions.")
     parser.add_argument("--csv", action="store_true", help="emit CSV instead of JSON Lines")
     commands = parser.add_subparsers(dest="command", required=True)
 
     sim = commands.add_parser("simulate", help="Monte Carlo estimate of P[G(m,n) <= eta]")
     _add_model_args(sim, eta_list=True)
-    sim.add_argument("--samples", type=_positive("samples"), required=True)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--samples", type=_int_in("samples", 1), required=True)
+    sim.add_argument("--seed", type=_int_in("seed", 0, SEED_LIMIT), default=0)
     sim.set_defaults(func=_cmd_simulate)
 
     det = commands.add_parser("cdf-det", help="finite difference determinant route")
     _add_model_args(det)
-    det.set_defaults(func=lambda a: _single_method_command(a, "cdf-det", "det"))
+    det.set_defaults(func=_cmd_route, method="det", extra_params=())
 
     meix = commands.add_parser("cdf-meixner", help="Meixner ensemble route")
     _add_model_args(meix)
     meix.add_argument("--route", choices=("bruteforce", "gram"), default="bruteforce")
-    meix.add_argument("--precision", type=_positive("precision"), default=50,
+    meix.add_argument("--precision", type=_int_in("precision", 1), default=50,
                       help="working digits for the gram route")
-    meix.set_defaults(func=_cmd_cdf_meixner)
+    meix.set_defaults(func=_cmd_route, method="meixner", extra_params=())
 
     bio = commands.add_parser("cdf-biorth", help="biorthogonal pairing determinant route")
     _add_model_args(bio)
     _add_contour_args(bio)
-    bio.set_defaults(func=lambda a: _single_method_command(a, "cdf-biorth", "biorth"))
+    bio.set_defaults(func=_cmd_route, method="biorth", extra_params=())
 
     fred = commands.add_parser("cdf-fredholm", help="Fredholm finite-section route")
     _add_model_args(fred)
     _add_contour_args(fred)
-    fred.add_argument("--trunc", type=_positive("trunc"), default=16,
-                      help="initial finite-section size")
-    fred.add_argument("--kernel-variant", choices=("derivation", "printed"),
-                      default="derivation")
-    fred.set_defaults(func=lambda a: _single_method_command(a, "cdf-fredholm", "fredholm"))
+    _add_fredholm_args(fred)
+    fred.set_defaults(func=_cmd_route, method="fredholm", extra_params=("variant", "trunc"))
 
     cross = commands.add_parser("crosscheck", help="run several methods and compare")
     _add_model_args(cross)
     _add_contour_args(cross)
-    cross.add_argument("--methods", default=",".join(CROSSCHECK_METHODS),
+    cross.add_argument("--methods", type=_parse_methods, default=",".join(CROSSCHECK_METHODS),
                        help="comma list from {%s}" % ",".join(CROSSCHECK_METHODS))
-    cross.add_argument("--samples", type=_positive("samples"), default=100_000)
-    cross.add_argument("--seed", type=int, default=0)
-    cross.add_argument("--trunc", type=_positive("trunc"), default=16)
-    cross.add_argument("--kernel-variant", choices=("derivation", "printed"),
-                       default="derivation")
+    cross.add_argument("--samples", type=_int_in("samples", 1), default=100_000)
+    cross.add_argument("--seed", type=_int_in("seed", 0, SEED_LIMIT), default=0)
+    _add_fredholm_args(cross)
     cross.set_defaults(func=_cmd_crosscheck)
 
     trans = commands.add_parser("transition", help="multi-step transition determinant")
     trans.add_argument("--q", type=_parse_q, required=True)
-    trans.add_argument("--steps", type=_nonnegative("steps"), required=True)
+    trans.add_argument("--steps", type=_int_in("steps", 0), required=True)
     trans.add_argument("--x", type=_parse_vector, required=True,
                        help="start state, weakly increasing comma list")
     trans.add_argument("--y", type=_parse_vector, required=True,
@@ -553,37 +444,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     joint = commands.add_parser("joint", help="two-point joint distribution value")
     joint.add_argument("--q", type=_parse_q, required=True)
-    joint.add_argument("--m", type=_positive("m"), required=True)
-    joint.add_argument("--n", type=_positive("n"), required=True)
-    joint.add_argument("--eta1", type=_nonnegative("eta1"), required=True)
-    joint.add_argument("--eta2", type=_nonnegative("eta2"), required=True)
-    joint.add_argument("--trunc", type=_nonnegative("trunc"), default=None,
+    joint.add_argument("--m", type=_int_in("m", 1), required=True)
+    joint.add_argument("--n", type=_int_in("n", 1), required=True)
+    joint.add_argument("--eta1", type=_int_in("eta1", 0), required=True)
+    joint.add_argument("--eta2", type=_int_in("eta2", 0), required=True)
+    joint.add_argument("--trunc", type=_int_in("trunc", 0), default=None,
                        help="free-coordinate truncation (default max(eta1,eta2)+8)")
     joint.set_defaults(func=_cmd_joint)
 
     return parser
 
 
-def _parse_methods(parser: argparse.ArgumentParser, text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    if not names:
-        parser.error("method list must not be empty")
-    bad = [name for name in names if name not in CROSSCHECK_METHODS]
-    if bad:
-        parser.error(f"unknown methods {bad}; choose from {CROSSCHECK_METHODS}")
-    if "dp" not in names:
-        names.append("dp")  # anchor
-    return names
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "crosscheck":
-        args.methods = _parse_methods(parser, args.methods)
     try:
         return args.func(args)
-    except (ValueError, StateSpaceError, QuadratureError, PrecisionLossError) as exc:
+    except _ROUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,6 +37,7 @@ __all__ = [
     "sample_grid",
     "last_passage",
     "mc_cdf",
+    "mc_cdfs",
     "one_step_transition",
     "exact_cdf_dp",
 ]
@@ -180,12 +181,16 @@ def _mc_block_size(m: int, n: int) -> int:
     return max(1, min(_MC_BLOCK_SAMPLES, _MC_BLOCK_ELEMENT_CAP // (m * n)))
 
 
-def mc_cdf(q, m: int, n: int, eta: int, samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of P[G(m, n) <= eta] with its standard error.
+def mc_cdfs(
+    q, m: int, n: int, etas: Sequence[int], samples: int, seed: int
+) -> list[tuple[float, float]]:
+    """Monte Carlo estimates of P[G(m, n) <= eta], with standard errors, per eta in etas.
 
-    Block j of the sample index range is always drawn from Philox stream j
-    (block size is a fixed function of the grid shape), and the reduction is
-    an integer hit count, so the estimate is deterministic in the arguments.
+    Every threshold is counted on the same samples.  Block j of the sample
+    index range is always drawn from Philox stream j (block size is a fixed
+    function of the grid shape), and the reduction is an integer hit count
+    per threshold, so each estimate is deterministic in the arguments and
+    equals the one-threshold `mc_cdf` result.
     """
     if m < 1 or n < 1:
         raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
@@ -193,19 +198,24 @@ def mc_cdf(q, m: int, n: int, eta: int, samples: int, seed: int) -> tuple[float,
         raise ValueError(f"sample count must be >= 1, got {samples}")
     qf = float(GeometricParameter.coerce(q))
     block = _mc_block_size(m, n)
-    hits = 0
+    hits = [0] * len(etas)
     done = 0
     block_index = 0
     while done < samples:
         count = min(block, samples - done)
         u = _philox(seed, jumps=block_index).random((count, m, n))
         g = _last_passage_final_batch(_geometric_from_uniform(u, qf))
-        hits += int(np.count_nonzero(g <= eta))
+        for k, eta in enumerate(etas):
+            hits[k] += int(np.count_nonzero(g <= eta))
         done += count
         block_index += 1
-    p = hits / samples
-    stderr = math.sqrt(p * (1.0 - p) / samples)
-    return p, stderr
+    estimates = [h / samples for h in hits]
+    return [(p, math.sqrt(p * (1.0 - p) / samples)) for p in estimates]
+
+
+def mc_cdf(q, m: int, n: int, eta: int, samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of P[G(m, n) <= eta] with its standard error (see `mc_cdfs`)."""
+    return mc_cdfs(q, m, n, (eta,), samples, seed)[0]
 
 
 def one_step_transition(q, x: OrderedVector | Sequence[int], y: OrderedVector | Sequence[int]) -> Fraction:
@@ -233,30 +243,32 @@ def one_step_transition(q, x: OrderedVector | Sequence[int], y: OrderedVector | 
 @lru_cache(maxsize=None)
 def _transition_table(
     q: GeometricParameter, n: int, eta: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, Fraction], ...], ...]]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
     """States of the box-truncated chain and, per state, its outgoing row.
 
     States are the weakly increasing n-tuples with entries in [0, eta], in
-    lexicographic order.  Transitions leaving the box are dropped: once any
-    coordinate exceeds eta it can never return, so the dropped mass is exactly
-    the probability of the complement event.
+    lexicographic order.  A row lists (target index, weight), the weight
+    being the transition probability times b^(n(eta+1)) for q = a/b, which is
+    an integer.  Transitions leaving the box are dropped: once any coordinate
+    exceeds eta it can never return, so the dropped mass is exactly the
+    probability of the complement event.
     """
     states = tuple(combinations_with_replacement(range(eta + 1), n))
     index = {s: i for i, s in enumerate(states)}
-    qv = q.value
-    base = (1 - qv) ** n
-    powers = [qv**e for e in range(n * eta + 1)]
+    a, b = q.value.numerator, q.value.denominator
+    # (1-q)^n q^e = (b-a)^n a^e / b^(n+e); e <= n*eta inside the box.
+    powers = [(b - a) ** n * a**e * b ** (n * eta - e) for e in range(n * eta + 1)]
     cap = _state_cap()
     entries = 0
 
-    rows: list[tuple[tuple[int, Fraction], ...]] = []
+    rows: list[tuple[tuple[int, int], ...]] = []
     for x in states:
-        row: list[tuple[int, Fraction]] = []
+        row: list[tuple[int, int]] = []
         y = [0] * n
 
         def extend(k: int, prev: int, esum: int) -> None:
             if k == n:
-                row.append((index[tuple(y)], base * powers[esum]))
+                row.append((index[tuple(y)], powers[esum]))
                 return
             low = max(x[k], prev)
             for yk in range(low, eta + 1):
@@ -294,13 +306,14 @@ def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
             f"DP needs {n_states} states for n={n}, eta={eta}, above the cap {cap}"
         )
     states, rows = _transition_table(qp, n, eta)
-    dist: list[Fraction] = [Fraction(0)] * len(states)
-    dist[0] = Fraction(1)  # lexicographically first state is the zero vector
+    # Integer masses over the common denominator b^(n(eta+1)) per step.
+    dist = [0] * len(states)
+    dist[0] = 1  # lexicographically first state is the zero vector
     for _ in range(m):
-        nxt = [Fraction(0)] * len(states)
+        nxt = [0] * len(states)
         for i, mass in enumerate(dist):
             if mass:
-                for j, p in rows[i]:
-                    nxt[j] += mass * p
+                for j, weight in rows[i]:
+                    nxt[j] += mass * weight
         dist = nxt
-    return sum(dist, Fraction(0))
+    return Fraction(sum(dist), qp.value.denominator ** (n * (eta + 1) * m))

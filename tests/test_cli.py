@@ -93,6 +93,25 @@ class TestArgumentValidation:
         assert out == ""
         assert "failed" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    @pytest.mark.parametrize("command", [["simulate", "--samples", "10"],
+                                         ["crosscheck", "--methods", "mc"]])
+    def test_seed_outside_philox_key_range_is_rejected(self, capsys, command, seed):
+        with pytest.raises(SystemExit) as info:
+            cli.main(command + ["--q", "1/2", "--m", "2", "--n", "2", "--eta", "1",
+                                "--seed", seed])
+        assert info.value.code == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--seed" in err
+
+    def test_largest_seed_is_accepted(self, capsys):
+        code, out, _ = run(capsys, ["simulate", "--q", "1/2", "--m", "2", "--n", "2",
+                                    "--eta", "1", "--samples", "10", "--seed", str(2**128 - 1)])
+        assert code == cli.EXIT_OK
+        (row,) = validated_rows(out)
+        assert row["params"]["seed"] == 2**128 - 1
+
     def test_gram_route_precision_floor(self, capsys):
         code, out, err = run(capsys, ["cdf-meixner", "--q", "1/2", "--m", "2",
                                       "--n", "2", "--eta", "1",
@@ -232,6 +251,53 @@ class TestCrosscheck:
         assert "value" in by_name["dp"]
         assert row["agreement"] is False
         assert "failed" in err
+
+
+    def test_zero_variance_monte_carlo_is_not_a_disagreement(self, capsys):
+        # P[G(1, 1) > 20] = 2**-21, so every one of the 100000 samples hits:
+        # the estimate is 1 with standard error 0, yet its band stays open.
+        code, out, _ = run(capsys, ["crosscheck", "--q", "1/2", "--m", "1", "--n", "1",
+                                    "--eta", "20", "--methods", "det,mc"])
+        assert code == cli.EXIT_OK
+        (row,) = validated_rows(out)
+        mc = {entry["method"]: entry for entry in row["methods"]}["mc"]
+        assert (mc["value"], mc["error_estimate"]) == ("1", "0")
+        z2, samples = cli.MC_SIGMA**2, row["params"]["samples"]
+        band = z2 / (samples + z2)
+        mc_pairs = [comp for comp in row["comparisons"] if comp["pair"].endswith("/mc")]
+        assert len(mc_pairs) == 2
+        for comp in mc_pairs:
+            assert comp["ok"]
+            assert float(comp["tolerance"]) == pytest.approx(band, rel=1e-12)
+        assert cli._wilson_reach(0.0, samples) == pytest.approx(band, rel=1e-12)
+
+
+class TestCsvHeaders:
+    METHOD = "method,value,exact,error_estimate,wall_ms,failure"
+    MODEL = ["--q", "1/2", "--m", "3", "--n", "2", "--eta", "2"]
+
+    @pytest.mark.parametrize("argv, header, records", [
+        (["cdf-det"] + MODEL, "q,m,n,eta," + METHOD, 1),
+        (["cdf-meixner"] + MODEL, "q,m,n,eta," + METHOD, 1),
+        (["cdf-meixner"] + MODEL + ["--route", "gram"],
+         "q,m,n,eta,route,precision,method,value,wall_ms", 1),
+        (["cdf-biorth"] + MODEL, "q,m,n,eta," + METHOD, 1),
+        (["cdf-fredholm"] + MODEL, "q,m,n,eta,variant,trunc," + METHOD, 1),
+        (["crosscheck"] + MODEL + ["--methods", "det"],
+         "q,m,n,eta,samples,seed,variant," + METHOD + ",agreement", 2),
+        (["joint", "--q", "1/2", "--m", "1", "--n", "2", "--eta1", "2", "--eta2", "3"],
+         "q,m,n,eta1,eta2,trunc,value_rational,value_decimal,increment_rational,"
+         "increment_decimal", 1),
+    ])
+    def test_header_and_record_count(self, capsys, argv, header, records):
+        code, out, _ = run(capsys, ["--csv"] + argv)
+        assert code == cli.EXIT_OK
+        lines = out.split("\r\n")
+        assert lines[0] == header
+        assert lines[-1] == ""
+        assert len(lines) == records + 2
+        width = len(header.split(","))
+        assert all(len(row) == width for row in csv.reader(io.StringIO(out)))
 
 
 class TestMarkovCommands:

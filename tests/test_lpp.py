@@ -24,11 +24,12 @@ from lppdist import (
     geometric_pmf,
     last_passage,
     mc_cdf,
+    mc_cdfs,
     neg_binomial,
     one_step_transition,
     sample_grid,
 )
-from lppdist.lpp import _last_passage_final_batch
+from lppdist.lpp import _last_passage_final_batch, _mc_block_size
 
 
 def last_passage_paths(w):
@@ -188,6 +189,18 @@ class TestMcCdf:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValueError):
             mc_cdf(Fraction(1, 2), 2, 2, 1, 0, seed=0)
+
+    @pytest.mark.parametrize("q, m, n, etas, samples", [
+        (Fraction(2, 3), 3, 2, (0, 4, 9, 4), 65_536 + 123),
+        (Fraction(1, 3), 20, 10, (25, 20, 30), 45_000),
+    ])
+    def test_thresholds_share_one_sample_set(self, q, m, n, etas, samples):
+        # The last block is partial, so every threshold is counted on it too.
+        block = _mc_block_size(m, n)
+        assert samples > block and samples % block
+        estimates = mc_cdfs(q, m, n, etas, samples, seed=11)
+        assert estimates == [mc_cdf(q, m, n, eta, samples, seed=11) for eta in etas]
+        assert len({p for p, _ in estimates}) == len(set(etas))
 
 
 class TestOneStepTransition:
