@@ -449,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     joint.add_argument("--eta1", type=_int_in("eta1", 0), required=True)
     joint.add_argument("--eta2", type=_int_in("eta2", 0), required=True)
     joint.add_argument("--trunc", type=_int_in("trunc", 0), default=None,
-                       help="free-coordinate truncation (default max(eta1,eta2)+8)")
+                       help="free-coordinate cutoff, must be >= max(eta1,eta2) and never "
+                            "changes the value (default max(eta1,eta2)+8)")
     joint.set_defaults(func=_cmd_joint)
 
     return parser

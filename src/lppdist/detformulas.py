@@ -12,19 +12,21 @@ and summing the same structure gives the one-point distribution function
 
 Both evaluate in two scalar layers: exact rationals through a fraction-free
 Bareiss elimination, and floats through LAPACK's LU factorization.  The
-two-point joint distribution composes two transition determinants and is a
-truncated but exactly rational sum.
+two-point joint distribution sums, over intermediate states, a transition
+determinant times a summed one, and is an exactly rational finite sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
 
-from .lpp import OrderedVector, StateSpaceError, _state_cap
+from .lpp import OrderedVector, check_state_cap
 from .weights import GeometricParameter, delta_neg_binomial
 
 __all__ = [
@@ -138,31 +140,27 @@ def transition_det(tq: TransitionQuery, *, exact: bool = True) -> Fraction | flo
     return bareiss_determinant(matrix) if exact else _lu_determinant(matrix)
 
 
-def cdf_det(cq: CdfQuery, *, exact: bool = True) -> Fraction | float:
-    """P[G(m, n) <= eta] as an n x n determinant of difference powers at eta + 1."""
-    matrix = [
-        [delta_neg_binomial(cq.q, cq.m, j - i - 1, cq.eta + 1) for j in range(cq.n)]
-        for i in range(cq.n)
+def _summed_transition_matrix(q, steps: int, x, eta: int) -> list[list[Fraction]]:
+    """Matrix whose determinant sums the transition det over ordered y with y_n <= eta.
+
+    Summing det( Delta^(j-i) w_s(y_j - x_i) ) over the ordered final states
+    below eta lowers every difference power by one and evaluates it at
+    eta + 1 - x_i: the sum is det( Delta^(j-i-1) w_s(eta + 1 - x_i) ).
+    """
+    n = len(x)
+    return [
+        [delta_neg_binomial(q, steps, j - i - 1, eta + 1 - x[i]) for j in range(n)]
+        for i in range(n)
     ]
+
+
+def cdf_det(cq: CdfQuery, *, exact: bool = True) -> Fraction | float:
+    """P[G(m, n) <= eta] as an n x n determinant of difference powers at eta + 1.
+
+    This is the summed transition determinant of m steps from the origin.
+    """
+    matrix = _summed_transition_matrix(cq.q, cq.m, (0,) * cq.n, cq.eta)
     return bareiss_determinant(matrix) if exact else _lu_determinant(matrix)
-
-
-def _ordered_tuples(bounds: Sequence[int], floor_first: int = 0):
-    """Weakly increasing tuples with per-coordinate upper bounds (shared floor)."""
-    n = len(bounds)
-    out: list[tuple[int, ...]] = []
-    cur = [0] * n
-
-    def extend(k: int, low: int) -> None:
-        if k == n:
-            out.append(tuple(cur))
-            return
-        for v in range(low, bounds[k] + 1):
-            cur[k] = v
-            extend(k + 1, v)
-
-    extend(0, floor_first)
-    return out
 
 
 def joint_cdf(
@@ -170,15 +168,15 @@ def joint_cdf(
 ) -> tuple[Fraction, Fraction]:
     """Exact two-point value P[G(m, m) <= eta1, G(n, n) <= eta2] for m < n.
 
-    Composes the m-step transition from the origin with the (n-m)-step
-    transition between intermediate and final states of the n-dimensional
-    chain.  Coordinates of the intermediate state above position m are not
-    pinned by eta1 and are truncated at `trunc`; the final state needs no
-    truncation because its last coordinate is capped by eta2.  Returns the
-    truncated value together with the contribution of intermediate states
-    whose free coordinates touch the truncation bound, an exact convergence
-    indicator that vanishes once trunc is large enough for the requested
-    accuracy.
+    Sums, over intermediate states x of the n-dimensional chain after m steps
+    with x_m <= eta1, the m-step transition determinant from the origin times
+    the summed (n-m)-step transition determinant of reaching a final state
+    below eta2.  G is monotone in both indices, so every coordinate of x is at
+    most G(n, n) <= eta2 and the sum is exact.  `trunc`, a cutoff for the
+    free coordinates x_(m+1)..x_n, must be >= max(eta1, eta2); no state it
+    could cut off contributes, so it never changes the value and the returned
+    increment is always 0.  The intermediate count is checked against the
+    MEIXNER_MAX_STATES cap before any is visited.
     """
     qp = GeometricParameter.coerce(q)
     if not (1 <= m < n):
@@ -189,34 +187,18 @@ def joint_cdf(
         raise ValueError(
             f"truncation bound {trunc} must be >= max(eta1, eta2) = {max(eta1, eta2)}"
         )
+    top = min(eta1, eta2)
+    # x_1..x_m in [0, top] and x_{m+1}..x_n in [x_m, eta2], counted by x_m = v.
+    count = sum(
+        math.comb(v + m - 1, m - 1) * math.comb(eta2 - v + n - m, n - m)
+        for v in range(top + 1)
+    )
+    check_state_cap(count, f"joint intermediate states for m={m}, n={n}")
     origin = OrderedVector((0,) * n)
-    x_bounds = [eta1] * m + [trunc] * (n - m)
-    intermediates = _ordered_tuples(x_bounds)
-    finals = _ordered_tuples([eta2] * n)
-    cap = _state_cap()
-    if len(intermediates) * len(finals) > cap:
-        raise StateSpaceError(
-            f"joint sum needs {len(intermediates) * len(finals)} state pairs, above the cap {cap}"
-        )
     total = Fraction(0)
-    edge = Fraction(0)
-    for x in intermediates:
-        # No final state can sit above eta2, so intermediates that already do
-        # contribute exactly zero (the second determinant is a probability).
-        if any(xk > eta2 for xk in x):
-            continue
-        xv = OrderedVector(x)
-        d1 = transition_det(TransitionQuery(qp, m, origin, xv))
-        if d1 == 0:
-            continue
-        inner = Fraction(0)
-        for y in finals:
-            if any(yk < xk for xk, yk in zip(x, y)):
-                continue
-            d2 = transition_det(TransitionQuery(qp, n - m, xv, OrderedVector(y)))
-            inner += d2
-        contribution = d1 * inner
-        total += contribution
-        if x[-1] == trunc:
-            edge += contribution
-    return total, edge
+    for head in combinations_with_replacement(range(top + 1), m):
+        for tail in combinations_with_replacement(range(head[-1], eta2 + 1), n - m):
+            x = head + tail
+            d1 = transition_det(TransitionQuery(qp, m, origin, OrderedVector(x)))
+            total += d1 * bareiss_determinant(_summed_transition_matrix(qp, n - m, x, eta2))
+    return total, Fraction(0)

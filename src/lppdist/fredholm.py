@@ -33,13 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import (
-    ROUNDOFF,
-    ContourConfig,
-    GeometricParameter,
-    QuadratureError,
-    circle_nodes,
-)
+from .weights import ContourConfig, GeometricParameter, QuadratureError, circle_nodes
+# A module attribute, so per-layer tracing (perfbench/spans.py) can rebind the loop used here.
+from .weights import adaptive_batch as _adaptive_batch
 
 __all__ = [
     "KernelSpec",
@@ -55,7 +51,6 @@ __all__ = [
 
 VARIANTS = ("derivation", "printed")
 
-_NODE_CAP = 8192
 _SECTION_CAP = 2048
 
 
@@ -93,28 +88,6 @@ class KernelSpec:
 def _check_index(spec: KernelSpec, j: int) -> None:
     if not 0 <= j < spec.n:
         raise ValueError(f"family index must satisfy 0 <= j < n = {spec.n}, got {j}")
-
-
-def _adaptive_batch(evaluate, start_nodes: int, tol: float = 1e-12):
-    """Double the node count until two refinements of a batched integral agree.
-
-    `evaluate` returns (values, summand_scale) with the scale broadcastable to
-    the values; each element converges either relative to its own magnitude or
-    down to the roundoff floor of its trapezoidal sum, whichever is coarser.
-    Elements whose summands grow like radius^x while their true value stays
-    polynomial cannot beat that floor, and for them the floor is the honest
-    stopping point.
-    """
-    prev, _ = evaluate(start_nodes)
-    count = 2 * start_nodes
-    while count <= _NODE_CAP:
-        cur, summand = evaluate(count)
-        allowed = np.maximum(tol * np.maximum(1.0, np.abs(cur)), ROUNDOFF * summand)
-        if np.all(np.abs(cur - prev) <= allowed):
-            return cur
-        prev = cur
-        count *= 2
-    raise QuadratureError(f"batched contour quadrature did not stabilize within {_NODE_CAP} nodes")
 
 
 def _a_values(spec: KernelSpec, j: int, xs: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "StateSpaceError",
     "MAX_STATES_ENV",
     "DEFAULT_MAX_STATES",
+    "check_state_cap",
     "sample_grid",
     "last_passage",
     "mc_cdf",
@@ -61,6 +62,21 @@ def _state_cap() -> int:
     if cap < 1:
         raise ValueError(f"{MAX_STATES_ENV} must be positive, got {cap}")
     return cap
+
+
+def check_state_cap(count: int, what: str, cap: int | None = None) -> None:
+    """Raise StateSpaceError when `count` exceeds the state cap.
+
+    The cap is read from the MEIXNER_MAX_STATES environment variable (default
+    5e6) unless the caller passes the value it already read.  `count` may be
+    a running count, so the message states it as a lower bound.
+    """
+    if cap is None:
+        cap = _state_cap()
+    if count > cap:
+        raise StateSpaceError(
+            f"{what} number at least {count}, above the {MAX_STATES_ENV} cap {cap}"
+        )
 
 
 @dataclass(frozen=True)
@@ -242,7 +258,7 @@ def one_step_transition(q, x: OrderedVector | Sequence[int], y: OrderedVector | 
 
 @lru_cache(maxsize=None)
 def _transition_table(
-    q: GeometricParameter, n: int, eta: int
+    q: GeometricParameter, n: int, eta: int, cap: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
     """States of the box-truncated chain and, per state, its outgoing row.
 
@@ -251,14 +267,14 @@ def _transition_table(
     being the transition probability times b^(n(eta+1)) for q = a/b, which is
     an integer.  Transitions leaving the box are dropped: once any coordinate
     exceeds eta it can never return, so the dropped mass is exactly the
-    probability of the complement event.
+    probability of the complement event.  The entry cap is part of the cache
+    key, so a table built under a higher cap is never served under a lower one.
     """
     states = tuple(combinations_with_replacement(range(eta + 1), n))
     index = {s: i for i, s in enumerate(states)}
     a, b = q.value.numerator, q.value.denominator
     # (1-q)^n q^e = (b-a)^n a^e / b^(n+e); e <= n*eta inside the box.
     powers = [(b - a) ** n * a**e * b ** (n * eta - e) for e in range(n * eta + 1)]
-    cap = _state_cap()
     entries = 0
 
     rows: list[tuple[tuple[int, int], ...]] = []
@@ -277,10 +293,7 @@ def _transition_table(
 
         extend(0, 0, 0)
         entries += len(row)
-        if entries > cap:
-            raise StateSpaceError(
-                f"transition table for n={n}, eta={eta} needs more than {cap} entries"
-            )
+        check_state_cap(entries, f"DP table entries for n={n}, eta={eta}", cap)
         rows.append(tuple(row))
     return states, tuple(rows)
 
@@ -299,13 +312,9 @@ def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
     if eta < 0:
         return Fraction(0)
     qp = GeometricParameter.coerce(q)
-    n_states = math.comb(eta + n, n)
     cap = _state_cap()
-    if n_states > cap:
-        raise StateSpaceError(
-            f"DP needs {n_states} states for n={n}, eta={eta}, above the cap {cap}"
-        )
-    states, rows = _transition_table(qp, n, eta)
+    check_state_cap(math.comb(eta + n, n), f"DP states for n={n}, eta={eta}", cap)
+    states, rows = _transition_table(qp, n, eta, cap)
     # Integer masses over the common denominator b^(n(eta+1)) per step.
     dist = [0] * len(states)
     dist[0] = 1  # lexicographically first state is the zero vector

@@ -25,7 +25,7 @@ from itertools import product
 import mpmath
 
 from .detformulas import bareiss_determinant
-from .lpp import StateSpaceError, _state_cap
+from .lpp import StateSpaceError, check_state_cap
 from .weights import ContourConfig, GeometricParameter, adaptive_circle_integral
 
 __all__ = [
@@ -139,10 +139,7 @@ def meixner_cdf_bruteforce(mq: MeixnerEnsembleQuery) -> Fraction:
     if eta < 0:
         return Fraction(0)
     hi = mq.box_high
-    cells = (hi + 1) ** n
-    cap = _state_cap()
-    if cells > cap:
-        raise StateSpaceError(f"box sum needs {cells} terms, above the cap {cap}")
+    check_state_cap((hi + 1) ** n, f"Meixner box cells for n={n}, eta={eta}")
     qv = mq.q.value
     a = mdim - n
     site = [meixner_weight(qv, a, x) for x in range(hi + 1)]

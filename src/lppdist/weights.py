@@ -39,6 +39,7 @@ __all__ = [
     "delta_w_contour",
     "circle_nodes",
     "circle_integral",
+    "adaptive_batch",
     "adaptive_circle_integral",
 ]
 
@@ -224,6 +225,31 @@ def circle_integral(
 
 #: Roundoff allowance per unit of summand magnitude in the stopping rules.
 ROUNDOFF = 64 * np.finfo(float).eps
+#: Largest node count the doubling loop tries before giving up.
+MAX_NODES = 8192
+
+
+def adaptive_batch(evaluate, start_nodes: int, tol: float = 1e-12, cap: int = MAX_NODES):
+    """Double the node count until two refinements of a batched integral agree.
+
+    `evaluate` maps a node count to (values, summand_scale) with the scale
+    broadcastable to the values; each element converges either relative to
+    its own magnitude or down to the roundoff floor of its trapezoidal sum,
+    whichever is coarser.  Elements whose summands grow like radius^x while
+    their true value stays polynomial cannot beat that floor, and for them
+    the floor is the honest stopping point.  Raises QuadratureError when the
+    cap is reached without agreement.
+    """
+    prev, _ = evaluate(start_nodes)
+    count = 2 * start_nodes
+    while count <= cap:
+        cur, summand = evaluate(count)
+        allowed = np.maximum(tol * np.maximum(1.0, np.abs(cur)), ROUNDOFF * summand)
+        if np.all(np.abs(cur - prev) <= allowed):
+            return cur
+        prev = cur
+        count *= 2
+    raise QuadratureError(f"batched contour quadrature did not stabilize within {cap} nodes")
 
 
 def adaptive_circle_integral(
@@ -231,33 +257,20 @@ def adaptive_circle_integral(
     radius: float,
     nodes: int = 256,
     tol: float = 1e-12,
-    cap: int = 8192,
+    cap: int = MAX_NODES,
 ) -> np.ndarray | complex:
-    """Double the node count until two successive refinements agree to tol.
+    """`circle_integral` with the node count doubled by `adaptive_batch`.
 
-    Agreement is relative to max(1, largest magnitude), with an absolute
-    floor proportional to the largest summand: once the difference sits at
-    the roundoff level of the trapezoidal sum, more nodes cannot improve it.
-    Raises QuadratureError when the cap is reached without agreement.
+    Each element of a batched integrand converges on its own, against the
+    largest magnitude of its own summands.
     """
 
-    def refine(count: int):
+    def evaluate(count: int):
         z = circle_nodes(radius, count)
         terms = integrand(z) * z
-        return np.mean(terms, axis=-1), float(np.max(np.abs(terms)))
+        return np.mean(terms, axis=-1), np.max(np.abs(terms), axis=-1)
 
-    prev, _ = refine(nodes)
-    count = 2 * nodes
-    while count <= cap:
-        cur, summand = refine(count)
-        allowed = max(tol * max(1.0, float(np.max(np.abs(cur)))), ROUNDOFF * summand)
-        if float(np.max(np.abs(cur - prev))) <= allowed:
-            return cur
-        prev = cur
-        count *= 2
-    raise QuadratureError(
-        f"circle quadrature did not stabilize to {tol} within {cap} nodes (radius {radius})"
-    )
+    return adaptive_batch(evaluate, nodes, tol, cap)
 
 
 def delta_w_contour(q, m: int, k: int, x: int, cfg: ContourConfig | None = None,

@@ -7,6 +7,7 @@ step-by-step chain propagation (exact) and a Monte Carlo frequency (4 sigma).
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -229,6 +230,15 @@ class TestJointCdf:
         hi, edge = joint_cdf(q, 1, 3, 2, 4, 7)
         assert hi - lo == edge
 
+    def test_cutoff_does_not_change_value(self):
+        # Every coordinate of the intermediate state is at most G(n, n) <= eta2.
+        q = Fraction(1, 3)
+        at_eta2 = joint_cdf(q, 1, 3, 2, 4, 4)
+        assert at_eta2 == joint_cdf(q, 1, 3, 2, 4, 9)
+        assert at_eta2[1] == 0
+        with pytest.raises(ValueError):
+            joint_cdf(q, 1, 3, 2, 4, 3)
+
     def test_value_monotone_in_cutoff(self):
         q = Fraction(2, 3)
         values = [joint_cdf(q, 2, 3, 2, 3, t)[0] for t in range(3, 8)]
@@ -265,3 +275,14 @@ class TestJointCdf:
         monkeypatch.setenv(MAX_STATES_ENV, "5")
         with pytest.raises(StateSpaceError):
             joint_cdf(Fraction(1, 2), 1, 3, 2, 2, 4)
+
+    def test_state_cap_refusal_has_bounded_memory(self, monkeypatch):
+        monkeypatch.setenv(MAX_STATES_ENV, "50")
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceError):
+                joint_cdf(Fraction(1, 2), 1, 4, 2, 80, 80)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20

@@ -285,6 +285,15 @@ class TestExactCdfDp:
         with pytest.raises(StateSpaceError):
             exact_cdf_dp(Fraction(1, 2), 3, 3, 4)
 
+    def test_lowered_cap_applies_to_a_cached_table(self, monkeypatch):
+        # 35 states, 490 table entries: the first call caches the table under
+        # the default cap, which must not let it through a cap of 35.
+        monkeypatch.delenv(MAX_STATES_ENV, raising=False)
+        exact_cdf_dp(Fraction(1, 2), 3, 3, 4)
+        monkeypatch.setenv(MAX_STATES_ENV, "35")
+        with pytest.raises(StateSpaceError):
+            exact_cdf_dp(Fraction(1, 2), 3, 3, 4)
+
     def test_bad_cap_value_rejected(self, monkeypatch):
         monkeypatch.setenv(MAX_STATES_ENV, "plenty")
         with pytest.raises(ValueError):

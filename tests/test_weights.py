@@ -230,6 +230,14 @@ class TestCircleQuadrature:
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(QuadratureError):
             adaptive_circle_integral(lambda z: 1.0 / (z - 1.1), 1.1, nodes=16, cap=256)
 
+    def test_batched_elements_converge_on_their_own_scale(self):
+        # A huge constant element must not loosen the stopping rule of a
+        # small element whose pole sits close to the contour.
+        vals = adaptive_circle_integral(
+            lambda z: np.stack([1e10 / z, 1.0 / (z - 0.97)]), 1.0, nodes=32
+        )
+        assert abs(vals[1] - 1.0) < 1e-12
+
     def test_batched_integrand_axes(self):
         exps = np.arange(-2, 2)[:, None]
         vals = adaptive_circle_integral(lambda z: z[None, :] ** exps, 1.2, nodes=32)
