@@ -21,7 +21,7 @@ from fractions import Fraction
 import mpmath
 
 from .detformulas import CdfQuery, cdf_det, joint_cdf, transition_det, TransitionQuery
-from .fredholm import KernelSpec, cdf_biorth, cdf_fredholm
+from .fredholm import _SECTION_CAP, KernelSpec, cdf_biorth, cdf_fredholm
 from .lpp import OrderedVector, StateSpaceError, exact_cdf_dp, mc_cdf, mc_cdfs
 from .meixner import (MeixnerEnsembleQuery, PrecisionLossError, meixner_cdf_bruteforce,
                       meixner_cdf_gram)
@@ -383,8 +383,8 @@ def _add_contour_args(sub) -> None:
 
 
 def _add_fredholm_args(sub) -> None:
-    sub.add_argument("--trunc", type=_int_in("trunc", 1), default=16,
-                     help="initial finite-section size")
+    sub.add_argument("--trunc", type=_int_in("trunc", 1, _SECTION_CAP), default=16,
+                     help=f"initial finite-section size, below the section cap {_SECTION_CAP}")
     sub.add_argument("--kernel-variant", choices=("derivation", "printed"),
                      default="derivation", dest="variant")
 

@@ -23,7 +23,13 @@ is the one consistent with the biorthogonal representation and is the only
 variant the distribution evaluator accepts by default, while e = n ("printed")
 is kept selectable so the adjudication test can document its failure for
 m != n.  All quadratures are trapezoidal sums over circles with adaptive node
-doubling, batched so that node evaluations are shared across arguments.
+doubling.  The N nodes of both circles sit at the same angles omega^k, so a
+trapezoid sum over one circle is a DFT of the integrand, read at x mod N for
+every argument x at once, and the Cauchy core w/(w - z) = 1/(1 - rho
+omega^(k-l)), rho = r2/r1, is circulant: the double sum of the kernel is a
+geometric series in rho over one DFT of each factor.  No nodes x nodes array
+is ever built; a kernel section of size s costs O(N log N + s^2 P) for the
+P <= N series terms that rho^P leaves above machine epsilon.
 """
 
 from __future__ import annotations
@@ -91,35 +97,41 @@ def _check_index(spec: KernelSpec, j: int) -> None:
 
 
 def _a_values(spec: KernelSpec, j: int, xs: np.ndarray) -> np.ndarray:
-    """a_j at each x in xs by one shared quadrature pass per refinement."""
+    """a_j at each x in xs, read off one inverse DFT of the integrand per refinement.
+
+    On z_k = r2 omega^k the trapezoid sum of z^x rest(z) is r2^x times
+    ifft(rest) at index x mod N, so every x shares the same transform.
+    """
     qf = float(spec.q)
     jk = j + spec.K - 1
     exps = np.asarray(xs, dtype=np.int64)
+    powers = spec.cfg.r2 ** exps.astype(float)
 
     def evaluate(count: int):
         z = circle_nodes(spec.cfg.r2, count)
         rest = (qf * z - 1.0) ** jk / (z - 1.0) ** (j + 1)
-        powers = z[None, :] ** exps[:, None]
-        values = (qf - 1.0) * np.real(powers @ rest) / count
-        scale = spec.cfg.r2 ** exps.astype(float) * float(np.max(np.abs(rest)))
-        return values, scale
+        values = (qf - 1.0) * powers * np.fft.ifft(rest).real[exps % count]
+        return values, powers * float(np.max(np.abs(rest)))
 
     return _adaptive_batch(evaluate, spec.cfg.nodes)
 
 
 def _b_values(spec: KernelSpec, j: int, xs: np.ndarray) -> np.ndarray:
-    """b_j at each x in xs by one shared quadrature pass per refinement."""
+    """b_j at each x in xs, read off one DFT of the integrand per refinement.
+
+    On w_l = r1 omega^l the trapezoid sum of w^(1-x) rest(w) is r1^(1-x)
+    times fft(rest)/N at index (x - 1) mod N.
+    """
     qf = float(spec.q)
     jk = j + spec.K
     exps = np.asarray(xs, dtype=np.int64)
+    powers = spec.cfg.r1 ** (1.0 - exps.astype(float))
 
     def evaluate(count: int):
         w = circle_nodes(spec.cfg.r1, count)
         rest = (w - 1.0) ** j / (qf * w - 1.0) ** jk
-        powers = w[None, :] ** (1 - exps[:, None])
-        values = np.real(powers @ rest) / count
-        scale = spec.cfg.r1 ** (1.0 - exps.astype(float)) * float(np.max(np.abs(rest)))
-        return values, scale
+        values = powers * np.fft.fft(rest).real[(exps - 1) % count] / count
+        return values, powers * float(np.max(np.abs(rest)))
 
     return _adaptive_batch(evaluate, spec.cfg.nodes)
 
@@ -159,35 +171,61 @@ def cdf_biorth(spec: KernelSpec, eta: int) -> float:
     return float(np.linalg.det(biorthogonal_pairing(spec, eta + spec.n)))
 
 
-def _kernel_factors(spec: KernelSpec, z: np.ndarray, w: np.ndarray):
+#: Most entries of one block of the Cauchy series, bounding its working memory.
+_SERIES_BLOCK = 1 << 20
+
+
+def _cauchy_series(spec: KernelSpec, count: int, rows: np.ndarray, cols: np.ndarray):
+    """Trapezoid double sum around the circulant Cauchy core, never forming it.
+
+    With z_k = r2 omega^k, w_l = r1 omega^l and rho = r2/r1, the core is
+    w/(w - z) = sum_p rho^p omega^(p(k-l)), so for integer offsets u, v
+
+        1/N^2 sum_{k,l} fz_k z_k^u w_l/(w_l - z_k) gw_l w_l^(-v)
+            = r2^u r1^(-v) sum_p rho^p fhat[(u+p) mod N] ghat[(v+p) mod N]
+
+    with fhat = ifft(fz) and ghat = fft(gw)/N, and the series folds to its
+    first N terms over 1 - rho^N.  Returns the series, without the radius
+    powers, for every u in rows and v in cols, and max|fz| max|gw| / (1 - rho),
+    a bound on every summand without those powers.  The series stops at the
+    first P with rho^P/(1 - rho) below machine epsilon, which leaves the tail
+    under the stopping rule's roundoff floor, or at P = N.  Both transforms
+    are real up to roundoff: the factors take conjugate values at conjugate
+    nodes.
+    """
     qf = float(spec.q)
+    z = circle_nodes(spec.cfg.r2, count)
+    w = circle_nodes(spec.cfg.r1, count)
     fz = (1.0 - qf * z) ** spec.m / (1.0 - z) ** spec.n
     gw = (1.0 - w) ** spec.n / (1.0 - qf * w) ** spec.denominator_power
-    return fz, gw
+    fhat = np.fft.ifft(fz).real
+    ghat = np.fft.fft(gw).real / count
+    rho = spec.cfg.r2 / spec.cfg.r1
+    eps = np.finfo(float).eps
+    terms = min(count, math.ceil(math.log(eps * (1.0 - rho)) / math.log(rho)))
+    step = max(1, _SERIES_BLOCK // max(rows.size, cols.size))
+    series = np.zeros((rows.size, cols.size))
+    for start in range(0, terms, step):
+        p = np.arange(start, min(start + step, terms))
+        left = fhat[(rows[:, None] + p) % count] * rho**p
+        series += left @ ghat[(cols[:, None] + p) % count].T
+    bound = float(np.max(np.abs(fz))) * float(np.max(np.abs(gw))) / (1.0 - rho)
+    return series / (1.0 - rho**count), bound
 
 
 def kernel_eval(spec: KernelSpec, x: int, y: int, tol: float = 1e-12) -> float:
     """Kernel entry K(x, y) by the double contour integral.
 
-    Both circle sums share their node evaluations through a rank-one-in-each-
-    variable factorization around the Cauchy core w/(w - z), which never
-    degenerates since the z-circle lies strictly inside the w-circle.
+    Both circles share the angles omega^k, so the Cauchy core w/(w - z) is
+    circulant and the double trapezoid sum is a geometric series over one DFT
+    of each factor (`_cauchy_series`): O(N log N) per node count N.
     """
+    u, v = x + spec.n, y + spec.n
+    powers = spec.cfg.r2**u * spec.cfg.r1 ** (-v)
 
     def evaluate(count: int):
-        z = circle_nodes(spec.cfg.r2, count)
-        w = circle_nodes(spec.cfg.r1, count)
-        fz, gw = _kernel_factors(spec, z, w)
-        core = w[None, :] / (w[None, :] - z[:, None])
-        left = fz * z ** (x + spec.n)
-        right = gw * w ** (-(y + spec.n))
-        value = np.real(left @ core @ right) / count**2
-        scale = (
-            float(np.max(np.abs(left)))
-            * float(np.max(np.abs(core)))
-            * float(np.max(np.abs(right)))
-        )
-        return value, scale
+        series, bound = _cauchy_series(spec, count, np.array([u]), np.array([v]))
+        return powers * float(series[0, 0]), powers * bound
 
     return float(_adaptive_batch(evaluate, spec.cfg.nodes, tol=tol))
 
@@ -198,22 +236,20 @@ def _kernel_section(spec: KernelSpec, eta: int, size: int) -> np.ndarray:
     The section is similarity-transformed by c^x with c = sqrt(r2 r1), which
     leaves every principal determinant unchanged while turning both power
     factors into decaying ones; without it the raw entries overflow for large
-    section sizes.
+    section sizes.  With o_i = eta + 1 + i + n and D = diag((r2/c)^o_i), it is
+    D A diag(rho^p) B^T D / (1 - rho^N), where A[i, p] = ifft(fz)[(o_i+p) mod N]
+    and B[j, p] = fft(gw)[(o_j+p) mod N]/N come from one DFT of each contour
+    factor (`_cauchy_series`); the cost per node count N is
+    O(N log N + size^2 P) for P <= N series terms, and no N x N array is built.
     """
     c = math.sqrt(spec.cfg.r2 * spec.cfg.r1)
     offs = eta + 1 + np.arange(size) + spec.n
     decay = (spec.cfg.r2 / c) ** offs.astype(float)  # = (c/r1)^offs as well
+    conj = np.outer(decay, decay)
 
     def evaluate(count: int):
-        z = circle_nodes(spec.cfg.r2, count)
-        w = circle_nodes(spec.cfg.r1, count)
-        fz, gw = _kernel_factors(spec, z, w)
-        core = (fz[:, None] * gw[None, :]) * (w[None, :] / (w[None, :] - z[:, None]))
-        left = (z / c)[:, None] ** offs[None, :]
-        right = (c / w)[:, None] ** offs[None, :]
-        values = np.real(left.T @ core @ right) / count**2
-        scale = float(np.max(np.abs(core))) * np.outer(decay, decay)
-        return values, scale
+        series, bound = _cauchy_series(spec, count, offs, offs)
+        return conj * series, bound * conj
 
     return _adaptive_batch(evaluate, spec.cfg.nodes)
 
@@ -230,20 +266,24 @@ def cdf_fredholm(
 
     Doubles the section size starting from `trunc` until two successive
     determinants differ by less than tol, returning the value together with
-    that final increment.  Only the derivation variant is accepted unless
+    that final increment.  `trunc` must lie below the section cap
+    `_SECTION_CAP`, so that doubling always reaches a second size to compare
+    with the first.  Only the derivation variant is accepted unless
     `allow_printed` is set; the printed variant exists for adjudication runs
     and is known to evaluate to the wrong distribution when m != n.
     """
     if eta < 0:
         raise ValueError(f"threshold must be >= 0, got {eta}")
-    if trunc < 1:
-        raise ValueError(f"initial section size must be >= 1, got {trunc}")
+    if not 1 <= trunc < _SECTION_CAP:
+        raise ValueError(
+            f"initial section size must be in [1, {_SECTION_CAP - 1}], got {trunc}"
+        )
     if spec.variant != "derivation" and not allow_printed:
         raise ValueError(
             "cdf_fredholm evaluates the validated derivation kernel; "
             "pass allow_printed=True to force the printed variant"
         )
-    size = min(trunc, _SECTION_CAP)
+    size = trunc
     prev: float | None = None
     while True:
         section = _kernel_section(spec, eta, size)

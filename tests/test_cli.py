@@ -105,6 +105,17 @@ class TestArgumentValidation:
         assert out == ""
         assert "--seed" in err
 
+    @pytest.mark.parametrize("command", ["cdf-fredholm", "crosscheck"])
+    def test_trunc_at_section_cap_is_rejected(self, capsys, command):
+        cap = lppdist.fredholm._SECTION_CAP
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--q", "1/2", "--m", "3", "--n", "2", "--eta", "2",
+                      "--trunc", str(cap)])
+        assert info.value.code == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--trunc" in err and str(cap) in err
+
     def test_largest_seed_is_accepted(self, capsys):
         code, out, _ = run(capsys, ["simulate", "--q", "1/2", "--m", "2", "--n", "2",
                                     "--eta", "1", "--samples", "10", "--seed", str(2**128 - 1)])

@@ -8,6 +8,7 @@ weight, and float-level agreement of every evaluator.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -196,6 +197,17 @@ class TestFunctionFamilies:
                 )
                 assert abs(total - int(j == k)) < Fraction(1, 10**12)
 
+    @pytest.mark.parametrize("q,m,n", CONFIGS, ids=str)
+    def test_families_match_oracles_past_the_node_count(self, q, m, n):
+        # With 16 starting nodes, x >= 16 reads the DFT at a wrapped index.
+        spec = KernelSpec(q, m, n, cfg=ContourConfig.for_q(q, nodes=16))
+        for j in range(n):
+            for x in range(-2, 48):
+                expect = float(a_oracle(q, m, n, j, x))
+                assert abs(a_fn(spec, j, x) - expect) <= 1e-9 * max(1.0, abs(expect)), (j, x)
+                expect = float(b_oracle(q, m, n, j, x))
+                assert abs(b_fn(spec, j, x) - expect) <= 1e-9 * max(1.0, abs(expect)), (j, x)
+
     def test_radius_invariance_of_values(self):
         q, m, n = Fraction(1, 2), 4, 2
         base = KernelSpec(q, m, n, cfg=ContourConfig(r2=1.15, r1=1.85))
@@ -274,17 +286,76 @@ class TestDistributionRoutes:
             )
             assert abs(direct - ranksum) < 1e-10
 
+    @pytest.mark.parametrize(
+        "q,m,n,eta",
+        [(q, m, n, 2) for q, m, n in CONFIGS]
+        + [(Fraction(9, 10), 3, 2, 2), (Fraction(9, 10), 3, 2, 41), (Fraction(1, 3), 10, 6, 15)],
+        ids=str,
+    )
+    def test_section_equals_exact_rank_n_sum(self, q, m, n, eta):
+        spec = KernelSpec(q, m, n)
+        size = 16
+        section = fredholm_mod._kernel_section(spec, eta, size)
+        c = math.sqrt(spec.cfg.r2 * spec.cfg.r1)
+        offs = [eta + 1 + i for i in range(size)]
+        a_rows = [[a_oracle(q, m, n, j, x + n) for j in range(n)] for x in offs]
+        b_rows = [[b_oracle(q, m, n, j, y + n) for j in range(n)] for y in offs]
+        for i, x in enumerate(offs):
+            for k, y in enumerate(offs):
+                kernel = sum((a * b for a, b in zip(a_rows[i], b_rows[k])), Fraction(0))
+                exact = float(kernel) * c ** (y - x)
+                assert abs(section[i, k] - exact) < 1e-12, (x, y)
+
     def test_negative_threshold(self):
         spec = KernelSpec(Fraction(1, 2), 3, 2)
         assert cdf_biorth(spec, -1) == 0.0
         with pytest.raises(ValueError):
             cdf_fredholm(spec, -1)
 
+    def test_initial_size_at_section_cap_is_rejected(self, monkeypatch):
+        # Starting at the cap left no second size to compare with.
+        monkeypatch.setattr(fredholm_mod, "_SECTION_CAP", 64)
+        spec = KernelSpec(Fraction(1, 2), 3, 2)
+        with pytest.raises(ValueError, match="63"):
+            cdf_fredholm(spec, 2, trunc=64)
+        value, _ = cdf_fredholm(spec, 2, trunc=63)
+        assert abs(value - float(exact_cdf_dp(Fraction(1, 2), 3, 2, 2))) < FLOAT_TOL
+
     def test_section_cap_raises(self, monkeypatch):
         monkeypatch.setattr(fredholm_mod, "_SECTION_CAP", 8)
         spec = KernelSpec(Fraction(1, 2), 3, 2)
         with pytest.raises(QuadratureError):
             cdf_fredholm(spec, 2, trunc=4, tol=0.0)
+
+
+class TestBoundedMemory:
+    """The contour layer never builds a nodes x nodes array."""
+
+    @staticmethod
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_near_one_fredholm_stays_small(self):
+        q, m, n, eta = Fraction(9, 10), 3, 2, 41
+        (value, _), peak = self.peak_of(lambda: cdf_fredholm(KernelSpec(q, m, n), eta))
+        assert abs(value - float(exact_cdf_dp(q, m, n, eta))) < FLOAT_TOL
+        assert peak < 256 * 2**20
+
+    def test_node_cap_refusal_has_bounded_memory(self):
+        spec = KernelSpec(Fraction(99, 100), 3, 2)
+
+        def refused():
+            with pytest.raises(QuadratureError):
+                cdf_fredholm(spec, 400)
+
+        _, peak = self.peak_of(refused)
+        assert peak < 64 * 2**20
 
 
 class TestVariantAdjudication:
