@@ -86,17 +86,26 @@ class CdfQuery:
 def bareiss_determinant(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
     """Exact determinant by fraction-free Bareiss elimination with row pivoting.
 
-    Intermediate divisions are exact by construction, so the result is an
-    exact rational for rational input.
+    Each row is first scaled to integers by the lcm of its denominators.  The
+    elimination then runs on Python ints, where every division is exact
+    (Bareiss, Math. Comp. 22, 1968), and the product of the row scales is
+    divided out once at the end.  Integer and rational input take the same
+    path.
     """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
-    a = [[Fraction(entry) for entry in row] for row in matrix]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
+    a = []
+    scale = 1
+    for row in matrix:
+        row = [Fraction(entry) for entry in row]
+        if len(row) != n:
+            raise ValueError("matrix must be square")
+        lcm = math.lcm(*(entry.denominator for entry in row))
+        a.append([entry.numerator * (lcm // entry.denominator) for entry in row])
+        scale *= lcm
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -106,12 +115,14 @@ def bareiss_determinant(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
                     break
             else:
                 return Fraction(0)
+        pivot = a[k][k]
+        right = a[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+            row = a[i]
+            lead = row[k]
+            row[k + 1:] = [(v * pivot - lead * w) // prev for v, w in zip(row[k + 1:], right)]
+        prev = pivot
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def _lu_determinant(matrix: Sequence[Sequence[Fraction | int]]) -> float:
@@ -158,8 +169,13 @@ def cdf_det(cq: CdfQuery, *, exact: bool = True) -> Fraction | float:
     """P[G(m, n) <= eta] as an n x n determinant of difference powers at eta + 1.
 
     This is the summed transition determinant of m steps from the origin.
+    Every x_i is 0, so entry (i, j) = Delta^(j-i-1) w_m(eta + 1) depends on
+    j - i alone: the matrix is Toeplitz, and only its 2n - 1 distinct values
+    Delta^k w_m(eta + 1), k in [-n, n-2], are computed.
     """
-    matrix = _summed_transition_matrix(cq.q, cq.m, (0,) * cq.n, cq.eta)
+    n = cq.n
+    values = [delta_neg_binomial(cq.q, cq.m, k, cq.eta + 1) for k in range(-n, n - 1)]
+    matrix = [[values[j - i - 1 + n] for j in range(n)] for i in range(n)]
     return bareiss_determinant(matrix) if exact else _lu_determinant(matrix)
 
 
@@ -177,6 +193,10 @@ def joint_cdf(
     could cut off contributes, so it never changes the value and the returned
     increment is always 0.  The intermediate count is checked against the
     MEIXNER_MAX_STATES cap before any is visited.
+
+    Entries depend only on (steps, k, t): Delta^(j-i) w_m(x_j) and
+    Delta^(j-i-1) w_(n-m)(eta2 + 1 - x_i).  Each is computed once per call and
+    kept in a dict of at most 2n (eta2 + 2) values per step count.
     """
     qp = GeometricParameter.coerce(q)
     if not (1 <= m < n):
@@ -194,11 +214,23 @@ def joint_cdf(
         for v in range(top + 1)
     )
     check_state_cap(count, f"joint intermediate states for m={m}, n={n}")
-    origin = OrderedVector((0,) * n)
+    memo: dict[tuple[int, int, int], Fraction] = {}
+
+    def entry(steps: int, k: int, t: int) -> Fraction:
+        key = (steps, k, t)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = delta_neg_binomial(qp, steps, k, t)
+        return value
+
+    span = range(n)
     total = Fraction(0)
     for head in combinations_with_replacement(range(top + 1), m):
         for tail in combinations_with_replacement(range(head[-1], eta2 + 1), n - m):
             x = head + tail
-            d1 = transition_det(TransitionQuery(qp, m, origin, OrderedVector(x)))
-            total += d1 * bareiss_determinant(_summed_transition_matrix(qp, n - m, x, eta2))
+            # m steps from the origin to x, then n - m steps to a state below eta2.
+            d1 = bareiss_determinant([[entry(m, j - i, x[j]) for j in span] for i in span])
+            total += d1 * bareiss_determinant(
+                [[entry(n - m, j - i - 1, eta2 + 1 - x[i]) for j in span] for i in span]
+            )
     return total, Fraction(0)

@@ -198,9 +198,30 @@ def delta_pow(
 
 
 def delta_neg_binomial(q, m: int, k: int, x: int) -> Fraction:
-    """Exact Delta^k w_m(x) with the natural support bound 0 of w_m."""
+    """Exact Delta^k w_m(x) with the natural support bound 0 of w_m.
+
+    The difference calculus runs on integers.  For q = a/b, `delta_pow`
+    evaluates w_m nowhere above top = max(x, x+k, 0), and for 0 <= t <= top
+
+        w_m(t) b^(m+top) = (b-a)^m binom(t+m-1, t) a^t b^(top-t).
+
+    `delta_pow` therefore runs on the integers binom(t+m-1, t) a^t b^(top-t),
+    and the result is scaled by (b-a)^m / b^(m+top) once, with one gcd,
+    instead of reducing a Fraction at every addition.
+    """
+    if m < 1:
+        raise ValueError(f"convolution power m must be >= 1, got {m}")
     qv = _q(q)
-    return delta_pow(lambda t: neg_binomial(qv, m, t), k, x, support_min=0)
+    a, b = qv.numerator, qv.denominator
+    top = max(x, x + k, 0)
+
+    def scaled(t: int) -> int:
+        if t < 0:
+            return 0
+        return math.comb(t + m - 1, t) * a**t * b ** (top - t)
+
+    total = delta_pow(scaled, k, x, support_min=0)
+    return Fraction((b - a) ** m * total, b ** (m + top))
 
 
 def circle_nodes(radius: float, count: int) -> np.ndarray:

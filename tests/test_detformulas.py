@@ -27,6 +27,7 @@ from lppdist import (
     one_step_transition,
     transition_det,
 )
+from lppdist.detformulas import _summed_transition_matrix
 from lppdist.lpp import MAX_STATES_ENV
 
 
@@ -105,6 +106,23 @@ small_matrices = st.integers(1, 4).flatmap(
 )
 
 
+# Rows of Fractions whose denominators differ from row to row; the zero
+# numerators keep producing zero leading pivots.
+rational_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.integers(1, 12).flatmap(
+            lambda den: st.lists(
+                st.integers(-5, 5).map(lambda num: Fraction(num, den)),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
 def random_state(rng, n, top=8):
     return tuple(sorted(int(v) for v in rng.integers(0, top + 1, n)))
 
@@ -112,6 +130,10 @@ def random_state(rng, n, top=8):
 class TestBareissDeterminant:
     @given(small_matrices)
     def test_matches_permutation_expansion(self, rows):
+        assert bareiss_determinant(rows) == det_permutation(rows)
+
+    @given(rational_matrices)
+    def test_rational_rows_match_permutation_expansion(self, rows):
         assert bareiss_determinant(rows) == det_permutation(rows)
 
     def test_pivoting_handles_leading_zero(self):
@@ -207,6 +229,13 @@ class TestCdfDet:
             for eta in range(5):
                 expect = sum(neg_binomial(q_canon, m, s) for s in range(eta + 1))
                 assert cdf_det(CdfQuery(q_canon, m, 1, eta)) == expect
+
+    def test_toeplitz_fill_matches_summed_transition_matrix(self):
+        # cdf_det fills its matrix from 2n - 1 values by j - i; the summed
+        # transition matrix from the origin builds all n^2 entries directly.
+        q, m, n, eta = Fraction(4, 7), 16, 12, 40
+        full = _summed_transition_matrix(q, m, (0,) * n, eta)
+        assert cdf_det(CdfQuery(q, m, n, eta)) == bareiss_determinant(full)
 
     def test_float_layer_tracks_exact(self, q_canon):
         cq = CdfQuery(q_canon, 4, 3, 3)

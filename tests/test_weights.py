@@ -122,6 +122,14 @@ class TestNegBinomial:
         with pytest.raises(ValueError):
             neg_binomial(Fraction(1, 2), 0, 3)
 
+    def test_difference_power_rejects_nonpositive_power(self):
+        # Negative orders at x <= 0 vanish without evaluating w_m; the power
+        # must be checked before that short cut, as for every other x.
+        for m in (0, -1):
+            for k, x in [(-2, 0), (-1, -3), (-3, 1), (0, 3), (2, -1)]:
+                with pytest.raises(ValueError):
+                    delta_neg_binomial(Fraction(1, 2), m, k, x)
+
     def test_vanishes_left_of_support(self, q_canon):
         assert neg_binomial(q_canon, 4, -1) == 0
 
@@ -211,6 +219,21 @@ class TestDeltaNegBinomial:
         for eta in range(0, 8):
             cdf = sum(neg_binomial(q_canon, 2, s) for s in range(eta + 1))
             assert delta_neg_binomial(q_canon, 2, -1, eta + 1) == cdf
+
+    @given(
+        q=st.integers(2, 50).flatmap(
+            lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))
+        ),
+        m=st.integers(1, 8),
+        k=st.integers(-8, 8),
+        x=st.integers(-3, 25),
+    )
+    def test_integer_route_matches_fraction_route(self, q, m, k, x):
+        # The difference calculus run directly on the Fraction values of w_m.
+        oracle = delta_pow(lambda t: neg_binomial(q, m, t), k, x, support_min=0)
+        value = delta_neg_binomial(q, m, k, x)
+        assert isinstance(value, Fraction)
+        assert value == oracle
 
 
 class TestCircleQuadrature:
