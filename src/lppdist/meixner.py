@@ -11,8 +11,12 @@ Two independent evaluations are provided: an exact rational brute-force box
 sum whose normalization comes from a closed-form Hankel moment determinant
 (Andreief / Cauchy-Binet reduction), and a high-precision Gram route that
 forms both the box and full-lattice moment matrices numerically and takes the
-ratio of their determinants.  The module also evaluates the underlying
-Meixner polynomials through their generating-function contour integral.
+ratio of their determinants.  The brute-force numerator covers every cell
+of the box: for q = num/den it sums integer site weights scaled by
+den^(eta+n-1) and divides once, and it builds Delta^2 coordinate by
+coordinate from prefix products, so a cell costs one multiply-add.  The
+module also evaluates the underlying Meixner polynomials through their
+generating-function contour integral.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import mul
 
 import mpmath
 
@@ -125,12 +129,43 @@ def partition_function(q, m: int, n: int) -> Fraction:
     return math.factorial(n) * bareiss_determinant(hankel)
 
 
+def _box_sum(site: list[int], n: int) -> int:
+    """sum over x in {0, ..., len(site)-1}^n of Delta(x)^2 prod_j site[x_j].
+
+    Walks the box one coordinate at a time.  After the prefix x_1..x_k the
+    list `weights` holds site[y] prod_{i<=k} (y - x_i)^2 for every y, so
+    choosing x_{k+1} = y multiplies the prefix weight by weights[y] and the
+    next list is this one times the squared differences from y.  At the last
+    coordinate the sum over all y is taken first and multiplied by the
+    prefix weight once.  A prefix that repeats a coordinate has weight 0 and
+    its subtree is skipped; those cells contribute exactly 0.
+    """
+    span = range(len(site))
+    squares = [[(y - x) ** 2 for y in span] for x in span]
+
+    def extend(weights: list[int], left: int) -> int:
+        if left == 1:
+            return sum(weights)
+        total = 0
+        for x, w in enumerate(weights):
+            if w:
+                total += w * extend(list(map(mul, weights, squares[x])), left - 1)
+        return total
+
+    return extend(site, n)
+
+
 def meixner_cdf_bruteforce(mq: MeixnerEnsembleQuery) -> Fraction:
     """Exact rational box sum of the ensemble over {0, ..., eta+n-1}^n.
 
-    The numerator enumerates the full box (no symmetry reduction, which keeps
-    the implementation honest as a brute-force oracle); the normalization is
-    the closed-form moment determinant.  n is capped at 4 and the box size at
+    The numerator visits every cell of the box (no symmetry reduction and no
+    moment reduction, which keeps the implementation honest as a brute-force
+    oracle); the normalization is the closed-form moment determinant.  For
+    q = num/den and hi = eta+n-1 each site weight is scaled to the integer
+    binom(x+a, x) num^x den^(hi-x), so the sum runs on integers and is
+    divided by den^(n hi) once.  Delta^2 is built by prefix products,
+    Delta(x_1..x_k)^2 = Delta(x_1..x_{k-1})^2 prod_{i<k} (x_k - x_i)^2, so
+    each cell costs one multiply-add.  n is capped at 4 and the box size at
     the MEIXNER_MAX_STATES cap.
     """
     n, mdim, eta = mq.n, mq.m, mq.eta
@@ -140,18 +175,10 @@ def meixner_cdf_bruteforce(mq: MeixnerEnsembleQuery) -> Fraction:
         return Fraction(0)
     hi = mq.box_high
     check_state_cap((hi + 1) ** n, f"Meixner box cells for n={n}, eta={eta}")
-    qv = mq.q.value
+    num, den = mq.q.value.numerator, mq.q.value.denominator
     a = mdim - n
-    site = [meixner_weight(qv, a, x) for x in range(hi + 1)]
-    numerator = Fraction(0)
-    for config in product(range(hi + 1), repeat=n):
-        v = vandermonde(config)
-        if v == 0:
-            continue
-        term = Fraction(v * v)
-        for x in config:
-            term *= site[x]
-        numerator += term
+    site = [math.comb(x + a, x) * num**x * den ** (hi - x) for x in range(hi + 1)]
+    numerator = Fraction(_box_sum(site, n), den ** (n * hi))
     return numerator / partition_function(mq.q, mdim, n)
 
 
@@ -218,7 +245,8 @@ def meixner_cdf_gram(mq: MeixnerEnsembleQuery, precision: int = 50):
     centering is a determinant-preserving basis change, so the ratio is the
     ensemble probability exactly.  Raises PrecisionLossError when the
     conditioning of either matrix eats more than the working precision can
-    support.  Returns an mpmath float with `precision` significant digits.
+    support, or when either matrix is singular at that precision.  Returns
+    an mpmath float with `precision` significant digits.
     """
     if precision < 10:
         raise ValueError(f"precision must be >= 10 digits, got {precision}")
@@ -230,7 +258,12 @@ def meixner_cdf_gram(mq: MeixnerEnsembleQuery, precision: int = 50):
         box_mom, full_mom = _gram_moments(mq, shift, precision + 15)
         box = _hankel(box_mom, n)
         full = _hankel(full_mom, n)
-        cond = max(_condition_1norm(box), _condition_1norm(full))
+        try:
+            cond = max(_condition_1norm(box), _condition_1norm(full))
+        except ZeroDivisionError as exc:  # mpmath.inverse: "matrix is numerically singular"
+            raise PrecisionLossError(
+                f"Gram matrix is numerically singular at {precision} digits; raise precision"
+            ) from exc
         if cond > mpmath.mpf(10) ** (precision - 2):
             raise PrecisionLossError(
                 f"Gram condition estimate {mpmath.nstr(cond, 3)} exceeds what "

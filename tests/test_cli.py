@@ -131,6 +131,15 @@ class TestArgumentValidation:
         assert out == ""
         assert "error" in err
 
+    def test_singular_gram_route_is_a_typed_failure(self, capsys):
+        code, out, err = run(capsys, ["cdf-meixner", "--q", "1/2", "--m", "25",
+                                      "--n", "25", "--eta", "100", "--route", "gram"])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: method meixner failed: ")
+        assert "raise precision" in err
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     ARGS = ["simulate", "--q", "1/2", "--m", "3", "--n", "2", "--eta", "0,1,2",

@@ -6,7 +6,9 @@ the finite-difference determinant route, which shares nothing with the
 ensemble summation.
 """
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -155,6 +157,51 @@ class TestBruteforceCdf:
             MeixnerEnsembleQuery(Fraction(1, 2), 3, 2, -2)
 
 
+def fraction_box_cdf(mq):
+    """Reference box sum: one Fraction term per cell, Vandermonde per cell."""
+    hi = mq.box_high
+    site = [meixner_weight(mq.q, mq.m - mq.n, x) for x in range(hi + 1)]
+    numerator = Fraction(0)
+    for config in product(range(hi + 1), repeat=mq.n):
+        v = vandermonde(config)
+        if v == 0:
+            continue
+        term = Fraction(v * v)
+        for x in config:
+            term *= site[x]
+        numerator += term
+    return numerator / partition_function(mq.q, mq.m, mq.n)
+
+
+@st.composite
+def small_boxes(draw):
+    """q = a/b with b <= 50, 1 <= n <= 4, n <= m <= n+3, (eta+n)^n <= 3000."""
+    b = draw(st.integers(2, 50))
+    q = Fraction(draw(st.integers(1, b - 1)), b)
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(n, n + 3))
+    top = max(eta for eta in range(-1, 3000) if (eta + n) ** n <= 3000)
+    return MeixnerEnsembleQuery(q, m, n, draw(st.integers(-1, top)))
+
+
+class TestIntegerBoxSum:
+    @given(small_boxes())
+    def test_matches_fraction_cell_loop(self, mq):
+        assert meixner_cdf_bruteforce(mq) == fraction_box_cdf(mq)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_single_particle_closed_form(self, q_canon, m):
+        for eta in range(8):
+            expect = sum(math.comb(x + m - 1, x) * q_canon**x for x in range(eta + 1))
+            expect *= (1 - q_canon) ** m
+            assert meixner_cdf_bruteforce(MeixnerEnsembleQuery(q_canon, m, 1, eta)) == expect
+
+    def test_slowest_pool_shape_matches_determinant_route(self):
+        q, m, n, eta = Fraction(5, 8), 5, 4, 6
+        brute = meixner_cdf_bruteforce(MeixnerEnsembleQuery(q, m, n, eta))
+        assert brute == cdf_det(CdfQuery(q, m, n, eta))
+
+
 class TestGramCdf:
     @pytest.mark.parametrize(
         "q,m,n,eta",
@@ -182,6 +229,11 @@ class TestGramCdf:
         query = MeixnerEnsembleQuery(Fraction(1, 2), 6, 6, 30)
         with pytest.raises(PrecisionLossError):
             meixner_cdf_gram(query, precision=10)
+
+    def test_singular_gram_matrix_is_precision_loss(self):
+        query = MeixnerEnsembleQuery(Fraction(1, 2), 25, 25, 100)
+        with pytest.raises(PrecisionLossError, match="raise precision"):
+            meixner_cdf_gram(query)
 
 
 class TestMeixnerPoly:
