@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import mpmath
 
@@ -138,10 +137,9 @@ def _box_sum(site: list[int], n: int) -> int:
     next list is this one times the squared differences from y.  At the last
     coordinate the sum over all y is taken first and multiplied by the
     prefix weight once.  A prefix that repeats a coordinate has weight 0 and
-    its subtree is skipped; those cells contribute exactly 0.
+    its subtree is skipped; those cells contribute exactly 0.  At most one
+    list per open coordinate is alive, so memory is O(n len(site)).
     """
-    span = range(len(site))
-    squares = [[(y - x) ** 2 for y in span] for x in span]
 
     def extend(weights: list[int], left: int) -> int:
         if left == 1:
@@ -149,7 +147,7 @@ def _box_sum(site: list[int], n: int) -> int:
         total = 0
         for x, w in enumerate(weights):
             if w:
-                total += w * extend(list(map(mul, weights, squares[x])), left - 1)
+                total += w * extend([v * (y - x) ** 2 for y, v in enumerate(weights)], left - 1)
         return total
 
     return extend(site, n)

@@ -196,6 +196,13 @@ class TestIntegerBoxSum:
             expect *= (1 - q_canon) ** m
             assert meixner_cdf_bruteforce(MeixnerEnsembleQuery(q_canon, m, 1, eta)) == expect
 
+    def test_single_particle_large_box_closed_form(self):
+        # A 5001-site box: the sum must stay linear in the box, not quadratic.
+        q, m, eta = Fraction(1, 2), 2, 5000
+        scaled = sum(math.comb(x + m - 1, x) * 2 ** (eta - x) for x in range(eta + 1))
+        expect = Fraction(scaled, 2**eta) * (1 - q) ** m
+        assert meixner_cdf_bruteforce(MeixnerEnsembleQuery(q, m, 1, eta)) == expect
+
     def test_slowest_pool_shape_matches_determinant_route(self):
         q, m, n, eta = Fraction(5, 8), 5, 4, 6
         brute = meixner_cdf_bruteforce(MeixnerEnsembleQuery(q, m, n, eta))
