@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -66,8 +67,14 @@ def _wilson_reach(p: float, samples: int) -> float:
     return abs(p - centre) + half
 
 
+def _rational_text(fr: Fraction) -> str:
+    """str(fr) at any size: Decimal formats an int without the int-to-str digit limit."""
+    text = str(Decimal(fr.numerator))
+    return text if fr.denominator == 1 else f"{text}/{Decimal(fr.denominator)}"
+
+
 def _exact(value: Fraction):
-    return {"value": _fmt(value), "exact": str(value), "error_estimate": "0"}, 0.0, value
+    return {"value": _fmt(value), "exact": _rational_text(value), "error_estimate": "0"}, 0.0, value
 
 
 def _numeric(value: float, **extra):
@@ -248,7 +255,7 @@ def _params(args, *names: str) -> dict:
 
 
 def _rational_value(fr: Fraction) -> dict:
-    return {"rational": str(fr), "decimal": _fmt(float(fr))}
+    return {"rational": _rational_text(fr), "decimal": _fmt(float(fr))}
 
 
 def _run_method(name: str, args) -> tuple[dict, float, object]:

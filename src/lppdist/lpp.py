@@ -9,9 +9,13 @@ The vector (G(i, 1), ..., G(i, n)) is a Markov chain on weakly increasing
 integer n-tuples; its one-step transition probability factorizes into a
 product of geometric weights.  This module houses the Monte Carlo estimator,
 the product-form transition, and the exact rational distribution obtained by
-propagating that transition over a truncated state space.  Everything here is
-independent of the determinantal machinery in the sibling modules, which is
-what makes it usable as an oracle for them.
+propagating that transition over a truncated state space.  The propagation
+uses the product form: a step is a sweep over the n columns, each a fold of
+the integer masses onto max(y_{k-1}, x_k) and a geometric recurrence along
+y_k, so no state's outgoing row is ever built.  The MEIXNER_MAX_STATES cap
+bounds both the state count and the largest layer of that sweep.  Everything
+here is independent of the determinantal machinery in the sibling modules,
+which is what makes it usable as an oracle for them.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -256,56 +259,126 @@ def one_step_transition(q, x: OrderedVector | Sequence[int], y: OrderedVector | 
     return prob
 
 
-@lru_cache(maxsize=None)
+def _binomials(tops: np.ndarray, k: int) -> np.ndarray:
+    """binom(t, k) for each t in `tops`, as int64."""
+    return np.array([math.comb(int(t), k) for t in tops], dtype=np.int64)
+
+
+def _last_entries(j: int, eta: int) -> np.ndarray:
+    """Last entry of each weakly increasing j-tuple over [0, eta], by colex rank.
+
+    The colex rank of c_1 <= ... <= c_j is the sum over i of
+    binom(c_i + i - 1, i), a bijection onto [0, binom(eta + j, j)); the
+    tuples ending in c hold the binom(c + j - 1, j - 1) ranks from
+    binom(c + j - 1, j) on.  The empty tuple (j = 0) is given last entry 0.
+    """
+    if j == 0:
+        return np.zeros(1, dtype=np.int64)
+    values = np.arange(eta + 1, dtype=np.int64)
+    return np.repeat(values, _binomials(values + j - 1, j - 1))
+
+
+def _segments(source: np.ndarray, target: np.ndarray, dtype) -> tuple[np.ndarray, ...]:
+    """Gather order, run starts and target cells that sum `source` cells into `target` cells."""
+    order = np.argsort(target, kind="stable")
+    ordered = target[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    arrays = tuple(a.astype(dtype) for a in (source[order], starts, ordered[starts]))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+# A plan near the default cap holds up to about 70 MB of index arrays, so only
+# the 20 most recent stay cached; the benchmark's crosscheck sessions reuse a
+# plan within at most 17 others.
+@lru_cache(maxsize=20)
 def _transition_table(
     q: GeometricParameter, n: int, eta: int, cap: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """States of the box-truncated chain and, per state, its outgoing row.
+) -> tuple[tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
+    """Per-column plan of one box-truncated chain step, for `exact_cdf_dp`.
 
-    States are the weakly increasing n-tuples with entries in [0, eta], in
-    lexicographic order.  A row lists (target index, weight), the weight
-    being the transition probability times b^(n(eta+1)) for q = a/b, which is
-    an integer.  Transitions leaving the box are dropped: once any coordinate
-    exceeds eta it can never return, so the dropped mass is exactly the
-    probability of the complement event.  The entry cap is part of the cache
-    key, so a table built under a higher cap is never served under a lower one.
+    A step updates the columns k = 1..n in turn, y_k = max(y_{k-1}, x_k) + w_k.
+    Column k first folds the state (y_1..y_{k-1}, x_k..x_n) into the layer
+    whose rows are (y_1..y_{k-1}, x_{k+1}..x_n) and whose cells are
+    t = max(y_{k-1}, x_k) in [0, eta], with t = x_1 for k = 1; the geometric
+    jump then spreads cell t over the cells z >= t of its row.  After column
+    n the rows are (y_1..y_{n-1}) and the cells y_n.
+
+    A row index is the colex rank of its prefix (see `_last_entries`) times
+    the number of suffixes plus the rank of its suffix, the suffix
+    x_{k+1} <= ... <= x_n being ranked as eta - x_n <= ... <= eta - x_{k+1}.
+    Appending an entry to a prefix, or dropping the first entry of a suffix,
+    moves its rank by one binomial, so the folds are computed on ranks.  Each
+    key is below the cell count of the largest layer, which the cap bounds,
+    so the keys are exact; they are stored as int32 when that count is below
+    2^31.
+
+    Entry k-1 of the first item is (rows, gather, starts, targets) for column
+    k: the flat cells of the previous layer in gather order, the starts of
+    the runs that share a target, and their flat target cells.  The other two
+    items are b^z and (b-a) b^(eta-z), z = 0..eta, for q = a/b.  A plan whose
+    largest layer, in cells, exceeds `cap` is refused; the cap is part of the
+    cache key, so a plan built under one cap is never served under another.
     """
-    states = tuple(combinations_with_replacement(range(eta + 1), n))
-    index = {s: i for i, s in enumerate(states)}
+    span = eta + 1
+    suffixes = [math.comb(eta + n - k, n - k) for k in range(1, n + 1)]
+    rows = [math.comb(eta + k - 1, k - 1) * suffixes[k - 1] for k in range(1, n + 1)]
+    cells = span * max(rows)
+    check_state_cap(cells, f"DP sweep layer cells for n={n}, eta={eta}", cap)
+    index = np.int32 if cells < 2**31 else np.int64
+    z = np.arange(span, dtype=np.int64)
+
+    # Column 1 reads the rows x_1..x_{n-1} and cells x_n.  Its target row is
+    # the suffix rank of x_2..x_n: binom(eta - x_i + n - i, n + 1 - i) summed
+    # over i >= 2, the i = n term being eta - x_n.
+    first = last = suffix_rank = np.zeros(1, dtype=np.int64)
+    for i in range(1, n):
+        last = _last_entries(i, eta)
+        take = np.arange(len(last)) - _binomials(z + i - 1, i)[last]  # rank of x_1..x_{i-1}
+        first = last if i == 1 else first[take]
+        suffix_rank = suffix_rank[take]
+        if i > 1:
+            suffix_rank = suffix_rank + _binomials(eta - z + n - i, n + 1 - i)[last]
+    p, cell = np.nonzero(z >= last[:, None])
+    if n == 1:
+        target = cell
+    else:
+        target = (suffix_rank[p] + eta - cell) * span + first[p]
+    columns = [(rows[0], *_segments(p * span + cell, target, index))]
+
+    for k in range(2, n + 1):
+        # Rows (y_1..y_{k-2}, x_k..x_n) and cells y_{k-1}.
+        prefix_last = _last_entries(k - 2, eta)
+        flipped = _last_entries(n - k + 1, eta)  # eta - x_k
+        p, s, cell = np.nonzero(np.broadcast_to(
+            (z >= prefix_last[:, None])[:, None, :], (len(prefix_last), len(flipped), span)))
+        row = ((p + _binomials(z + k - 2, k - 1)[cell]) * suffixes[k - 1]
+               + s - _binomials(z + n - k, n - k + 1)[flipped[s]])
+        target = row * span + np.maximum(cell, eta - flipped[s])
+        source = (p * len(flipped) + s) * span + cell
+        columns.append((rows[k - 1], *_segments(source, target, index)))
+
     a, b = q.value.numerator, q.value.denominator
-    # (1-q)^n q^e = (b-a)^n a^e / b^(n+e); e <= n*eta inside the box.
-    powers = [(b - a) ** n * a**e * b ** (n * eta - e) for e in range(n * eta + 1)]
-    entries = 0
-
-    rows: list[tuple[tuple[int, int], ...]] = []
-    for x in states:
-        row: list[tuple[int, int]] = []
-        y = [0] * n
-
-        def extend(k: int, prev: int, esum: int) -> None:
-            if k == n:
-                row.append((index[tuple(y)], powers[esum]))
-                return
-            low = max(x[k], prev)
-            for yk in range(low, eta + 1):
-                y[k] = yk
-                extend(k + 1, yk, esum + yk - low)
-
-        extend(0, 0, 0)
-        entries += len(row)
-        check_state_cap(entries, f"DP table entries for n={n}, eta={eta}", cap)
-        rows.append(tuple(row))
-    return states, tuple(rows)
+    jump = np.array([b**t for t in range(span)], dtype=object)
+    scale = np.array([(b - a) * b ** (eta - t) for t in range(span)], dtype=object)
+    return tuple(columns), jump, scale
 
 
 def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
     """Exact P[G(m, n) <= eta] by m-fold propagation of the coupled chain.
 
     The chain starts from the zero vector and runs m steps inside the box
-    [0, eta]^n; the answer is the surviving mass.  The state count is
-    binom(eta + n, n); it and the transition table entry count must stay at
-    or below the cap from the MEIXNER_MAX_STATES environment variable
-    (default 5e6).
+    [0, eta]^n; the answer is the surviving mass.  Each step is a sweep over
+    the n columns (see `_transition_table`): the mass is folded onto
+    t = max(y_{k-1}, x_k), and the geometric jump runs as the recurrence
+    T[z] = a T[z-1] + b^z A[z], scaled by (b-a) b^(eta-z), for q = a/b.
+    Masses are integers over b^(eta+1) per column, so the answer is one
+    division at the end.  Dropping the mass above eta is exact, because once
+    a coordinate exceeds eta, G(m, n) does.  The state count binom(eta+n, n)
+    and the largest sweep layer, (eta+1) binom(eta+k-1, k-1)
+    binom(eta+n-k, n-k) cells over the columns k, must stay at or below the
+    cap from the MEIXNER_MAX_STATES environment variable (default 5e6).
     """
     if m < 1 or n < 1:
         raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
@@ -314,15 +387,18 @@ def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
     qp = GeometricParameter.coerce(q)
     cap = _state_cap()
     check_state_cap(math.comb(eta + n, n), f"DP states for n={n}, eta={eta}", cap)
-    states, rows = _transition_table(qp, n, eta, cap)
-    # Integer masses over the common denominator b^(n(eta+1)) per step.
-    dist = [0] * len(states)
-    dist[0] = 1  # lexicographically first state is the zero vector
+    columns, jump, scale = _transition_table(qp, n, eta, cap)
+    a, span = qp.value.numerator, eta + 1
+    layer = np.zeros(columns[0][0] * span, dtype=object)  # the layer after column n
+    layer[0] = 1  # the zero vector: rank-0 prefix, y_n = 0
     for _ in range(m):
-        nxt = [0] * len(states)
-        for i, mass in enumerate(dist):
-            if mass:
-                for j, weight in rows[i]:
-                    nxt[j] += mass * weight
-        dist = nxt
-    return Fraction(sum(dist), qp.value.denominator ** (n * (eta + 1) * m))
+        for rows, gather, starts, targets in columns:
+            folded = np.zeros(rows * span, dtype=object)
+            folded[targets] = np.add.reduceat(layer[gather], starts)
+            grid = folded.reshape(rows, span)
+            grid *= jump
+            for t in range(1, span):
+                grid[:, t] += a * grid[:, t - 1]
+            grid *= scale
+            layer = folded
+    return Fraction(int(layer.sum()), qp.value.denominator ** (span * n * m))

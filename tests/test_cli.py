@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,10 +23,12 @@ import lppdist
 import lppdist.cli as cli
 from lppdist import (
     CdfQuery,
+    MeixnerEnsembleQuery,
     OrderedVector,
     cdf_det,
     exact_cdf_dp,
     joint_cdf,
+    meixner_cdf_bruteforce,
     one_step_transition,
 )
 
@@ -354,6 +357,30 @@ class TestMarkovCommands:
         (row,) = list(csv.DictReader(io.StringIO(out)))
         assert row["value_rational"] == "1/16"
         assert_g17(row["value_decimal"])
+
+
+class TestRationalsPastTheDigitLimit:
+    """Exact values whose terms have more digits than int-to-str converts by default."""
+
+    @staticmethod
+    def parse(text: str) -> Fraction:
+        numerator, _, denominator = text.partition("/")
+        return Fraction(int(Decimal(numerator)), int(Decimal(denominator or "1")))
+
+    def test_meixner_reports_its_fraction(self, capsys):
+        code, out, err = run(capsys, ["cdf-meixner", "--q", "1/2", "--m", "1", "--n", "1",
+                                      "--eta", "20000"])
+        assert code == cli.EXIT_OK, err
+        (row,) = validated_rows(out)
+        expect = meixner_cdf_bruteforce(MeixnerEnsembleQuery(Fraction(1, 2), 1, 1, 20000))
+        assert self.parse(row["methods"][0]["exact"]) == expect
+
+    def test_transition_reports_its_fraction(self, capsys):
+        code, out, err = run(capsys, ["transition", "--q", "1/2", "--steps", "1",
+                                      "--x", "0", "--y", "20000"])
+        assert code == cli.EXIT_OK, err
+        (row,) = validated_rows(out)
+        assert self.parse(row["value"]["rational"]) == Fraction(1, 2**20001)
 
 
 def test_installed_script_runs(tmp_path):
