@@ -13,7 +13,8 @@ propagating that transition over a truncated state space.  The propagation
 uses the product form: a step is a sweep over the n columns, each a fold of
 the integer masses onto max(y_{k-1}, x_k) and a geometric recurrence along
 y_k, so no state's outgoing row is ever built.  The MEIXNER_MAX_STATES cap
-bounds both the state count and the largest layer of that sweep.  Everything
+bounds the state count and the number of entries those rows would hold,
+which no layer of the sweep exceeds.  Everything
 here is independent of the determinantal machinery in the sibling modules,
 which is what makes it usable as an oracle for them.
 """
@@ -25,7 +26,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -278,55 +280,89 @@ def _last_entries(j: int, eta: int) -> np.ndarray:
     return np.repeat(values, _binomials(values + j - 1, j - 1))
 
 
-def _segments(source: np.ndarray, target: np.ndarray, dtype) -> tuple[np.ndarray, ...]:
+def _segments(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
     """Gather order, run starts and target cells that sum `source` cells into `target` cells."""
     order = np.argsort(target, kind="stable")
     ordered = target[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    arrays = tuple(a.astype(dtype) for a in (source[order], starts, ordered[starts]))
+    arrays = tuple(a.astype(np.int32) for a in (source[order], starts, ordered[starts]))
     for array in arrays:
         array.flags.writeable = False
     return arrays
 
 
-# A plan near the default cap holds up to about 70 MB of index arrays, so only
-# the 20 most recent stay cached; the benchmark's crosscheck sessions reuse a
-# plan within at most 17 others.
-@lru_cache(maxsize=20)
-def _transition_table(
-    q: GeometricParameter, n: int, eta: int, cap: int
-) -> tuple[tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...], np.ndarray, np.ndarray]:
-    """Per-column plan of one box-truncated chain step, for `exact_cdf_dp`.
+def _table_entries(n: int, eta: int, cap: int) -> int:
+    """Whole-row transition-table entries that the DP is charged against `cap`.
+
+    A state x of the box-truncated chain reaches exactly the weakly
+    increasing y >= x inside [0, eta]^n, so the entries are the pairs x <= y,
+    binom(eta+n, n) binom(eta+n+1, n) / (n+1) of them (MacMahon's count of
+    plane partitions in a 2 x n x eta box).  At most `cap` of them, their
+    count is returned.  Otherwise the return value is the running count over
+    the states in lexicographic order at the first state whose row passes
+    the cap, which is the count that the table, when it was built row by row,
+    refused with.  That state is found one coordinate at a time.  With x_1..
+    x_{k-1} fixed, the pairs with x_k = c number the sum over v >= c of
+    P(v) S(c, v), where P(v) counts the y_1..y_{k-1} with y_i >= x_i and
+    y_{k-1} <= v (1 for k = 1), and S(u, v) counts the pairs of weakly
+    increasing tails of length r = n - k over [u, eta] and [v, eta] with
+    the first below the second: by Lindstrom-Gessel-Viennot,
+    binom(r+eta-v, r) binom(r+eta-u, r) - binom(r+eta-v, r+1) binom(r+eta-u, r-1).
+    """
+    total = math.comb(eta + n, n) * math.comb(eta + n + 1, n) // (n + 1)
+    if total <= cap:
+        return total
+
+    def comb(top: int, k: int) -> int:
+        return math.comb(top, k) if k >= 0 else 0
+
+    count, low, ends = 0, 0, None
+    for k in range(1, n + 1):
+        r = n - k
+        if ends is not None:  # suffix sums over v >= c of P(v) binom(r+eta-v, r) and (., r+1)
+            upper, lower = [0] * (eta + 2), [0] * (eta + 2)
+            for v in range(eta, low - 1, -1):
+                upper[v] = upper[v + 1] + ends[v] * comb(r + eta - v, r)
+                lower[v] = lower[v + 1] + ends[v] * comb(r + eta - v, r + 1)
+        for c in range(low, eta + 1):
+            if ends is None:  # P = 1: the sums over v close by the hockey stick
+                u, w = comb(r + eta - c + 1, r + 1), comb(r + eta - c + 1, r + 2)
+            else:
+                u, w = upper[c], lower[c]
+            pairs = comb(r + eta - c, r) * u - comb(r + eta - c, r - 1) * w
+            if count + pairs > cap:
+                break
+            count += pairs
+        if k < n:  # fix x_k = c; P(v) becomes the running sum of [v >= c] P(v)
+            ends = list(accumulate(e if v >= c else 0
+                                   for v, e in enumerate(ends or [1] * (eta + 1))))
+            low = c
+    return count + pairs
+
+
+def _sweep_columns(n: int, eta: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Fold plan of each column of one box-truncated chain step, k = 1..n in turn.
 
     A step updates the columns k = 1..n in turn, y_k = max(y_{k-1}, x_k) + w_k.
     Column k first folds the state (y_1..y_{k-1}, x_k..x_n) into the layer
     whose rows are (y_1..y_{k-1}, x_{k+1}..x_n) and whose cells are
     t = max(y_{k-1}, x_k) in [0, eta], with t = x_1 for k = 1; the geometric
     jump then spreads cell t over the cells z >= t of its row.  After column
-    n the rows are (y_1..y_{n-1}) and the cells y_n.
+    n the rows are (y_1..y_{n-1}) and the cells y_n.  Column k yields
+    (rows, gather, starts, targets): the row count of its layer, the flat
+    cells of the previous layer in gather order, the starts of the runs that
+    share a target, and their flat target cells.
 
     A row index is the colex rank of its prefix (see `_last_entries`) times
     the number of suffixes plus the rank of its suffix, the suffix
     x_{k+1} <= ... <= x_n being ranked as eta - x_n <= ... <= eta - x_{k+1}.
     Appending an entry to a prefix, or dropping the first entry of a suffix,
     moves its rank by one binomial, so the folds are computed on ranks.  Each
-    key is below the cell count of the largest layer, which the cap bounds,
-    so the keys are exact; they are stored as int32 when that count is below
-    2^31.
-
-    Entry k-1 of the first item is (rows, gather, starts, targets) for column
-    k: the flat cells of the previous layer in gather order, the starts of
-    the runs that share a target, and their flat target cells.  The other two
-    items are b^z and (b-a) b^(eta-z), z = 0..eta, for q = a/b.  A plan whose
-    largest layer, in cells, exceeds `cap` is refused; the cap is part of the
-    cache key, so a plan built under one cap is never served under another.
+    key is below the cell count of its layer and is stored as int32.
     """
     span = eta + 1
     suffixes = [math.comb(eta + n - k, n - k) for k in range(1, n + 1)]
     rows = [math.comb(eta + k - 1, k - 1) * suffixes[k - 1] for k in range(1, n + 1)]
-    cells = span * max(rows)
-    check_state_cap(cells, f"DP sweep layer cells for n={n}, eta={eta}", cap)
-    index = np.int32 if cells < 2**31 else np.int64
     z = np.arange(span, dtype=np.int64)
 
     # Column 1 reads the rows x_1..x_{n-1} and cells x_n.  Its target row is
@@ -345,7 +381,7 @@ def _transition_table(
         target = cell
     else:
         target = (suffix_rank[p] + eta - cell) * span + first[p]
-    columns = [(rows[0], *_segments(p * span + cell, target, index))]
+    yield (rows[0], *_segments(p * span + cell, target))
 
     for k in range(2, n + 1):
         # Rows (y_1..y_{k-2}, x_k..x_n) and cells y_{k-1}.
@@ -357,12 +393,46 @@ def _transition_table(
                + s - _binomials(z + n - k, n - k + 1)[flipped[s]])
         target = row * span + np.maximum(cell, eta - flipped[s])
         source = (p * len(flipped) + s) * span + cell
-        columns.append((rows[k - 1], *_segments(source, target, index)))
+        yield (rows[k - 1], *_segments(source, target))
 
+
+# A kept plan has at most 12 bytes of index arrays per sweep cell, and at
+# most `cap` cells, 30 MB at most under the default cap (measured at its
+# largest, n = 245, eta = 1), so the 20 cached plans retain at most about
+# 600 MB.  The benchmark's crosscheck sessions reuse a plan within at most
+# 17 others.
+@lru_cache(maxsize=20)
+def _transition_table(
+    q: GeometricParameter, n: int, eta: int, cap: int
+) -> tuple[tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...] | None, np.ndarray, np.ndarray]:
+    """Plan of one box-truncated chain step, for `exact_cdf_dp`.
+
+    The first item holds the `_sweep_columns` of the step, or None when
+    their cells over all n layers, (eta+1) binom(2 eta+n, n-1) by
+    Chu-Vandermonde, exceed `cap`; such a plan is rebuilt column by column
+    in each step and never kept whole.  That happens only with many columns
+    and small eta.  The other two items are b^z and
+    (b-a) b^(eta-z), z = 0..eta, for q = a/b.
+
+    The plan is charged its whole-row table entries (`_table_entries`),
+    which no layer exceeds (checked for n <= 400 at eta <= 200, or eta < 40
+    from n = 100 on), so every int32 key is exact below a cap of 2^31; a
+    plan whose largest layer has 2^31 cells or more is refused.  The cap is
+    part of the cache key, so a plan built under one cap is never served
+    under another.
+    """
+    check_state_cap(_table_entries(n, eta, cap), f"DP table entries for n={n}, eta={eta}", cap)
+    span = eta + 1
+    layer = span * max(math.comb(eta + k - 1, k - 1) * math.comb(eta + n - k, n - k)
+                       for k in range(1, n + 1))
+    if layer >= 2**31:
+        raise StateSpaceError(f"DP sweep layer for n={n}, eta={eta} has {layer} cells, beyond int32 keys")
+    cells = span * math.comb(2 * eta + n, n - 1)
+    columns = tuple(_sweep_columns(n, eta)) if cells <= cap else None
     a, b = q.value.numerator, q.value.denominator
     jump = np.array([b**t for t in range(span)], dtype=object)
     scale = np.array([(b - a) * b ** (eta - t) for t in range(span)], dtype=object)
-    return tuple(columns), jump, scale
+    return columns, jump, scale
 
 
 def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
@@ -376,9 +446,9 @@ def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
     Masses are integers over b^(eta+1) per column, so the answer is one
     division at the end.  Dropping the mass above eta is exact, because once
     a coordinate exceeds eta, G(m, n) does.  The state count binom(eta+n, n)
-    and the largest sweep layer, (eta+1) binom(eta+k-1, k-1)
-    binom(eta+n-k, n-k) cells over the columns k, must stay at or below the
-    cap from the MEIXNER_MAX_STATES environment variable (default 5e6).
+    and then the entries of the whole-row transition table, which the sweep
+    never builds (see `_table_entries`), must stay at or below the cap from
+    the MEIXNER_MAX_STATES environment variable (default 5e6).
     """
     if m < 1 or n < 1:
         raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
@@ -389,10 +459,10 @@ def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
     check_state_cap(math.comb(eta + n, n), f"DP states for n={n}, eta={eta}", cap)
     columns, jump, scale = _transition_table(qp, n, eta, cap)
     a, span = qp.value.numerator, eta + 1
-    layer = np.zeros(columns[0][0] * span, dtype=object)  # the layer after column n
+    layer = np.zeros(math.comb(eta + n - 1, n - 1) * span, dtype=object)  # as after column n
     layer[0] = 1  # the zero vector: rank-0 prefix, y_n = 0
     for _ in range(m):
-        for rows, gather, starts, targets in columns:
+        for rows, gather, starts, targets in columns or _sweep_columns(n, eta):
             folded = np.zeros(rows * span, dtype=object)
             folded[targets] = np.add.reduceat(layer[gather], starts)
             grid = folded.reshape(rows, span)

@@ -6,6 +6,7 @@ row of the box-truncated chain on integer weights and propagates over all
 code with either, so the larger shapes are checked against it.
 """
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -15,6 +16,7 @@ from hypothesis import given, strategies as st
 from lppdist import CdfQuery, StateSpaceError, cdf_det, exact_cdf_dp
 from lppdist import lpp
 from lppdist.lpp import MAX_STATES_ENV
+from lppdist.weights import GeometricParameter
 
 
 def table_cdf(q, m, n, eta):
@@ -90,21 +92,69 @@ class TestSweepMatchesDeterminant:
         assert exact_cdf_dp(q, 2, 66, 1) == cdf_det(CdfQuery(q, 66, 2, 1))
 
 
+def row_by_row_entries(n, eta, cap):
+    """Running table-entry count at the first state whose row passes `cap`, else the total."""
+    states = list(combinations_with_replacement(range(eta + 1), n))
+    entries = 0
+    for x in states:
+        entries += sum(all(a <= b for a, b in zip(x, y)) for y in states)
+        if entries > cap:
+            break
+    return entries
+
+
 class TestSweepStateCap:
-    # (1/2, 3, 3, 4): 35 states; the largest sweep layer has 5 * 5 * 5 = 125
-    # cells; whole-row propagation had 490 table entries.
-    def test_cap_counts_the_largest_layer(self, monkeypatch):
+    # (1/2, 3, 3, 4): 35 states, 490 table entries and 5 * 55 = 275 sweep
+    # cells over its three layers.
+    def test_refusal_reports_the_running_table_entry_count(self, monkeypatch):
         q = Fraction(1, 2)
-        monkeypatch.setenv(MAX_STATES_ENV, "124")
-        with pytest.raises(StateSpaceError, match="layer cells"):
+        monkeypatch.setenv(MAX_STATES_ENV, "489")
+        with pytest.raises(StateSpaceError, match=r"DP table entries for n=3, eta=4 number at least 490,"):
             exact_cdf_dp(q, 3, 3, 4)
-        monkeypatch.setenv(MAX_STATES_ENV, "125")
-        assert exact_cdf_dp(q, 3, 3, 4) == cdf_det(CdfQuery(q, 3, 3, 4))
+        monkeypatch.setenv(MAX_STATES_ENV, "35")
+        with pytest.raises(StateSpaceError, match=r"DP table entries for n=3, eta=4 number at least 69,"):
+            exact_cdf_dp(q, 3, 3, 4)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_charged_entries_equal_the_row_by_row_count(self, n):
+        for eta in range(0, 5):
+            states = list(combinations_with_replacement(range(eta + 1), n))
+            total = sum(all(a <= b for a, b in zip(x, y)) for x in states for y in states)
+            for cap in range(1, total + 2):
+                assert lpp._table_entries(n, eta, cap) == row_by_row_entries(n, eta, cap)
 
     def test_shape_within_the_table_entry_count_still_runs(self, monkeypatch):
         monkeypatch.setenv(MAX_STATES_ENV, "490")
         q = Fraction(1, 2)
         assert exact_cdf_dp(q, 3, 3, 4) == cdf_det(CdfQuery(q, 3, 3, 4))
+
+    def test_large_eta_refusal_has_bounded_memory(self, monkeypatch):
+        # Over 8e12 table entries; an object layer of 2236^2 cells would hold
+        # about a gigabyte of integers.
+        monkeypatch.delenv(MAX_STATES_ENV, raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceError, match="DP table entries"):
+                exact_cdf_dp(Fraction(1, 2), 2, 2, 2235)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_plan_over_the_cap_is_rebuilt_per_step_not_kept(self, monkeypatch):
+        # n = 10, eta = 1: 66 table entries, 2 * binom(12, 9) = 440 sweep cells.
+        q = Fraction(1, 2)
+        qp = GeometricParameter.coerce(q)
+        monkeypatch.setenv(MAX_STATES_ENV, "439")
+        assert exact_cdf_dp(q, 3, 10, 1) == cdf_det(CdfQuery(q, 10, 3, 1))
+        assert lpp._transition_table(qp, 10, 1, 439)[0] is None
+        monkeypatch.setenv(MAX_STATES_ENV, "440")
+        assert exact_cdf_dp(q, 3, 10, 1) == cdf_det(CdfQuery(q, 10, 3, 1))
+        assert len(lpp._transition_table(qp, 10, 1, 440)[0]) == 10
+
+    def test_plan_keys_past_int32_are_refused(self):
+        with pytest.raises(StateSpaceError, match="int32"):
+            lpp._transition_table(GeometricParameter.coerce(Fraction(1, 2)), 1, 2**31, 2**80)
 
     def test_plan_cache_is_bounded(self):
         assert lpp._transition_table.cache_info().maxsize is not None
