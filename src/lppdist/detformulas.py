@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .lpp import OrderedVector, check_state_cap
-from .weights import GeometricParameter, delta_neg_binomial
+from .weights import GeometricParameter, PrecisionLossError, delta_neg_binomial
 
 __all__ = [
     "TransitionQuery",
@@ -125,8 +125,36 @@ def bareiss_determinant(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1], scale)
 
 
+#: Largest error the float layer answers with: 1-norm condition number times
+#: machine epsilon must stay below it.
+LU_TOLERANCE = 1e-8
+
+
 def _lu_determinant(matrix: Sequence[Sequence[Fraction | int]]) -> float:
-    return float(np.linalg.det(np.array(matrix, dtype=float)))
+    """Float determinant by LU, refused when conditioning could spoil it.
+
+    Rows, then columns, are first scaled by powers of two to a largest
+    magnitude in [1/2, 1), which is exact and divides out exactly; the
+    difference-power matrices span hundreds of orders of magnitude and are
+    far better conditioned once balanced.  Raises PrecisionLossError when the
+    balanced matrix's 1-norm condition number times machine epsilon, a bound
+    on the relative error of its LU determinant, exceeds LU_TOLERANCE.  A
+    zero row or column gives 0 exactly.
+    """
+    a = np.array(matrix, dtype=float)
+    _, row_exp = np.frexp(np.max(np.abs(a), axis=1))
+    a = np.ldexp(a, -row_exp[:, None])
+    _, col_exp = np.frexp(np.max(np.abs(a), axis=0))
+    a = np.ldexp(a, -col_exp[None, :])
+    if not (np.all(np.any(a, axis=0)) and np.all(np.any(a, axis=1))):
+        return 0.0
+    bound = float(np.linalg.cond(a, 1)) * float(np.finfo(float).eps)
+    if not bound <= LU_TOLERANCE:
+        raise PrecisionLossError(
+            f"float determinant of a {len(a)}x{len(a)} matrix has condition bound "
+            f"{bound:.3g} above {LU_TOLERANCE}; use exact=True"
+        )
+    return math.ldexp(float(np.linalg.det(a)), int(row_exp.sum() + col_exp.sum()))
 
 
 def _transition_matrix(tq: TransitionQuery) -> list[list[Fraction]]:

@@ -28,8 +28,11 @@ trapezoid sum over one circle is a DFT of the integrand, read at x mod N for
 every argument x at once, and the Cauchy core w/(w - z) = 1/(1 - rho
 omega^(k-l)), rho = r2/r1, is circulant: the double sum of the kernel is a
 geometric series in rho over one DFT of each factor.  No nodes x nodes array
-is ever built; a kernel section of size s costs O(N log N + s^2 P) for the
-P <= N series terms that rho^P leaves above machine epsilon.
+is ever built.  With P the series terms that rho^P leaves above machine
+epsilon, a kernel entry costs O(N log N + P) per node count N.  A kernel
+section of size s is a product of two Hankel matrices built from two 1-D
+sequences of length s + P - 1; it costs O(N log N + s + P) per node count
+and O(s^2 + s P) once, to assemble.
 """
 
 from __future__ import annotations
@@ -171,11 +174,40 @@ def cdf_biorth(spec: KernelSpec, eta: int) -> float:
     return float(np.linalg.det(biorthogonal_pairing(spec, eta + spec.n)))
 
 
-#: Most entries of one block of the Cauchy series, bounding its working memory.
-_SERIES_BLOCK = 1 << 20
+def _series_terms(spec: KernelSpec) -> int:
+    """Terms P of the geometric series in rho = r2/r1 that matter.
+
+    P is the first power with rho^P / (1 - rho) below machine epsilon, which
+    leaves the tail under the stopping rule's roundoff floor.
+    """
+    rho = spec.cfg.r2 / spec.cfg.r1
+    eps = np.finfo(float).eps
+    return math.ceil(math.log(eps * (1.0 - rho)) / math.log(rho))
 
 
-def _cauchy_series(spec: KernelSpec, count: int, rows: np.ndarray, cols: np.ndarray):
+def _factor_transforms(spec: KernelSpec, count: int):
+    """ifft(fz), fft(gw)/N, max|fz| and max|gw| on N = count nodes.
+
+    fz = (1 - qz)^m / (1 - z)^n on z_k = r2 omega^k and
+    gw = (1 - w)^n / (1 - qw)^e on w_l = r1 omega^l are the two contour
+    factors of the kernel.  Both transforms are real up to roundoff: the
+    factors take conjugate values at conjugate nodes.  Every entry of a
+    transform is bounded by the largest magnitude of its factor.
+    """
+    qf = float(spec.q)
+    z = circle_nodes(spec.cfg.r2, count)
+    w = circle_nodes(spec.cfg.r1, count)
+    fz = (1.0 - qf * z) ** spec.m / (1.0 - z) ** spec.n
+    gw = (1.0 - w) ** spec.n / (1.0 - qf * w) ** spec.denominator_power
+    return (
+        np.fft.ifft(fz).real,
+        np.fft.fft(gw).real / count,
+        float(np.max(np.abs(fz))),
+        float(np.max(np.abs(gw))),
+    )
+
+
+def _cauchy_series(spec: KernelSpec, count: int, u: int, v: int):
     """Trapezoid double sum around the circulant Cauchy core, never forming it.
 
     With z_k = r2 omega^k, w_l = r1 omega^l and rho = r2/r1, the core is
@@ -186,31 +218,15 @@ def _cauchy_series(spec: KernelSpec, count: int, rows: np.ndarray, cols: np.ndar
 
     with fhat = ifft(fz) and ghat = fft(gw)/N, and the series folds to its
     first N terms over 1 - rho^N.  Returns the series, without the radius
-    powers, for every u in rows and v in cols, and max|fz| max|gw| / (1 - rho),
-    a bound on every summand without those powers.  The series stops at the
-    first P with rho^P/(1 - rho) below machine epsilon, which leaves the tail
-    under the stopping rule's roundoff floor, or at P = N.  Both transforms
-    are real up to roundoff: the factors take conjugate values at conjugate
-    nodes.
+    powers, and max|fz| max|gw| / (1 - rho), a bound on every summand
+    without those powers.  The series stops after `_series_terms` terms or
+    at P = N.
     """
-    qf = float(spec.q)
-    z = circle_nodes(spec.cfg.r2, count)
-    w = circle_nodes(spec.cfg.r1, count)
-    fz = (1.0 - qf * z) ** spec.m / (1.0 - z) ** spec.n
-    gw = (1.0 - w) ** spec.n / (1.0 - qf * w) ** spec.denominator_power
-    fhat = np.fft.ifft(fz).real
-    ghat = np.fft.fft(gw).real / count
+    fhat, ghat, fmax, gmax = _factor_transforms(spec, count)
     rho = spec.cfg.r2 / spec.cfg.r1
-    eps = np.finfo(float).eps
-    terms = min(count, math.ceil(math.log(eps * (1.0 - rho)) / math.log(rho)))
-    step = max(1, _SERIES_BLOCK // max(rows.size, cols.size))
-    series = np.zeros((rows.size, cols.size))
-    for start in range(0, terms, step):
-        p = np.arange(start, min(start + step, terms))
-        left = fhat[(rows[:, None] + p) % count] * rho**p
-        series += left @ ghat[(cols[:, None] + p) % count].T
-    bound = float(np.max(np.abs(fz))) * float(np.max(np.abs(gw))) / (1.0 - rho)
-    return series / (1.0 - rho**count), bound
+    p = np.arange(min(count, _series_terms(spec)))
+    series = (fhat[(u + p) % count] * rho**p) @ ghat[(v + p) % count]
+    return series / (1.0 - rho**count), fmax * gmax / (1.0 - rho)
 
 
 def kernel_eval(spec: KernelSpec, x: int, y: int, tol: float = 1e-12) -> float:
@@ -224,10 +240,20 @@ def kernel_eval(spec: KernelSpec, x: int, y: int, tol: float = 1e-12) -> float:
     powers = spec.cfg.r2**u * spec.cfg.r1 ** (-v)
 
     def evaluate(count: int):
-        series, bound = _cauchy_series(spec, count, np.array([u]), np.array([v]))
-        return powers * float(series[0, 0]), powers * bound
+        series, bound = _cauchy_series(spec, count, u, v)
+        return powers * float(series), powers * bound
 
     return float(_adaptive_batch(evaluate, spec.cfg.nodes, tol=tol))
+
+
+def _reach(seq: np.ndarray, size: int) -> np.ndarray:
+    """max |seq[v]| over v > k - size, for every index k of seq.
+
+    In a section of size `size`, F(o_0 + k) is multiplied only by
+    G(o_0 + v) with v > k - size, and the other way round.
+    """
+    tail = np.maximum.accumulate(np.abs(seq)[::-1])[::-1]
+    return tail[np.maximum(np.arange(seq.size) - (size - 1), 0)]
 
 
 def _kernel_section(spec: KernelSpec, eta: int, size: int) -> np.ndarray:
@@ -236,22 +262,54 @@ def _kernel_section(spec: KernelSpec, eta: int, size: int) -> np.ndarray:
     The section is similarity-transformed by c^x with c = sqrt(r2 r1), which
     leaves every principal determinant unchanged while turning both power
     factors into decaying ones; without it the raw entries overflow for large
-    section sizes.  With o_i = eta + 1 + i + n and D = diag((r2/c)^o_i), it is
-    D A diag(rho^p) B^T D / (1 - rho^N), where A[i, p] = ifft(fz)[(o_i+p) mod N]
-    and B[j, p] = fft(gw)[(o_j+p) mod N]/N come from one DFT of each contour
-    factor (`_cauchy_series`); the cost per node count N is
-    O(N log N + size^2 P) for P <= N series terms, and no N x N array is built.
+    section sizes.  With o_i = eta + 1 + n + i, the conjugated section is
+
+        C[i, j] = sum_{t >= 0} F(o_i + t) G(o_j + t),
+        F(u) = rho^(u/2) ifft(fz)[u mod N],  G(u) = rho^(u/2) fft(gw)[u mod N] / N,
+
+    the series of `_cauchy_series` on the periodic continuation instead of
+    folded over 1 - rho^N.  So C is a product of two Hankel matrices, with
+    displacement rank one: C[i, j] = F(o_i) G(o_j) + C[i+1, j+1].
+
+    The node doubling runs on the two 1-D sequences over u in
+    [o_0, o_0 + size - 1 + P), P = `_series_terms`; their length does not
+    change between refinements.  An error in F(u) reaches the section only
+    through products with G(v), v > u - size, so the stopping rule sees each
+    F(u) times the largest such |G(v)| (`_reach`), and G the same way.
+    Without that weight the far tail of one factor, which wraps around the
+    N nodes until N covers the window, holds the doubling back although its
+    products with the other factor are negligible.  The section is then
+    assembled once: its last row and column are correlations over length-P
+    windows, and the rest follows backward by the recurrence, so every entry
+    sums at least P terms and every index stays inside the window.
+
+    The cost is O(N log N + size + P) per node count N plus O(size^2 +
+    size P) once; no size x P or N x N array is built.
     """
     c = math.sqrt(spec.cfg.r2 * spec.cfg.r1)
-    offs = eta + 1 + np.arange(size) + spec.n
-    decay = (spec.cfg.r2 / c) ** offs.astype(float)  # = (c/r1)^offs as well
-    conj = np.outer(decay, decay)
+    length = size - 1 + _series_terms(spec)
+    us = eta + 1 + spec.n + np.arange(length)
+    decay = (spec.cfg.r2 / c) ** us.astype(float)  # = rho^(u/2) = (c/r1)^u
+
+    factors = {}
 
     def evaluate(count: int):
-        series, bound = _cauchy_series(spec, count, offs, offs)
-        return conj * series, bound * conj
+        fhat, ghat, fmax, gmax = _factor_transforms(spec, count)
+        at = us % count
+        f = factors["f"] = decay * fhat[at]
+        g = factors["g"] = decay * ghat[at]
+        f_weight, g_weight = _reach(g, size), _reach(f, size)
+        values = np.concatenate([f * f_weight, g * g_weight])
+        return values, np.concatenate([decay * fmax * f_weight, decay * gmax * g_weight])
 
-    return _adaptive_batch(evaluate, spec.cfg.nodes)
+    _adaptive_batch(evaluate, spec.cfg.nodes)
+    f, g = factors["f"], factors["g"]
+    section = np.empty((size, size))
+    section[-1] = np.correlate(g, f[size - 1:], "valid")
+    section[:, -1] = np.correlate(f, g[size - 1:], "valid")
+    for i in range(size - 2, -1, -1):
+        section[i, :-1] = f[i] * g[: size - 1] + section[i + 1, 1:]
+    return section
 
 
 def cdf_fredholm(

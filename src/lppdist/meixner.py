@@ -29,7 +29,8 @@ import mpmath
 
 from .detformulas import bareiss_determinant
 from .lpp import StateSpaceError, check_state_cap
-from .weights import ContourConfig, GeometricParameter, adaptive_circle_integral
+from .weights import (ContourConfig, GeometricParameter, PrecisionLossError,
+                      adaptive_circle_integral)
 
 __all__ = [
     "MeixnerEnsembleQuery",
@@ -43,10 +44,6 @@ __all__ = [
 ]
 
 _BRUTEFORCE_MAX_N = 4
-
-
-class PrecisionLossError(RuntimeError):
-    """Working precision cannot support the conditioning of the Gram matrices."""
 
 
 @dataclass(frozen=True)

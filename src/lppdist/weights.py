@@ -31,6 +31,7 @@ __all__ = [
     "GeometricParameter",
     "ContourConfig",
     "QuadratureError",
+    "PrecisionLossError",
     "geometric_pmf",
     "neg_binomial",
     "delta_pow",
@@ -46,6 +47,10 @@ __all__ = [
 
 class QuadratureError(RuntimeError):
     """Contour quadrature failed to converge within the node cap."""
+
+
+class PrecisionLossError(RuntimeError):
+    """Working precision cannot support the conditioning of a matrix."""
 
 
 @dataclass(frozen=True)
