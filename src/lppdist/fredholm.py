@@ -33,6 +33,16 @@ epsilon, a kernel entry costs O(N log N + P) per node count N.  A kernel
 section of size s is a product of two Hankel matrices built from two 1-D
 sequences of length s + P - 1; it costs O(N log N + s + P) per node count
 and O(s^2 + s P) once, to assemble.
+
+The biorth route runs one node loop per family, two per call for every n.
+The n integrands of a family are one (n, N/2 + 1) array, built by a
+running product along j on the half circle k = 0..N/2: they take conjugate
+values at conjugate nodes, so irfft (a) and hfft (b) along the node axis
+give the real transforms of the full circle, in O(n N log N) per node
+count.  The Fredholm factors stay on the full circle: the section is pinned
+to a full-circle oracle at 1e-14, which a half-circle transform of the
+factors exceeds by roundoff.  Every route takes its nodes from
+`circle_nodes`, which scales one shared table of unit roots per N.
 """
 
 from __future__ import annotations
@@ -42,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import ContourConfig, GeometricParameter, QuadratureError, circle_nodes
+from .weights import (ContourConfig, GeometricParameter, PrecisionLossError, QuadratureError,
+                      circle_nodes)
 # A module attribute, so per-layer tracing (perfbench/spans.py) can rebind the loop used here.
 from .weights import adaptive_batch as _adaptive_batch
 
@@ -99,42 +110,70 @@ def _check_index(spec: KernelSpec, j: int) -> None:
         raise ValueError(f"family index must satisfy 0 <= j < n = {spec.n}, got {j}")
 
 
-def _a_values(spec: KernelSpec, j: int, xs: np.ndarray) -> np.ndarray:
-    """a_j at each x in xs, read off one inverse DFT of the integrand per refinement.
+def _radius_power(radius: float, exponent: int) -> float:
+    """radius^exponent, or PrecisionLossError when it is not a finite float.
 
-    On z_k = r2 omega^k the trapezoid sum of z^x rest(z) is r2^x times
-    ifft(rest) at index x mod N, so every x shares the same transform.
+    The trapezoid sums scale their transforms by such powers; past the float
+    range every value of the sum, and its stopping rule, would be inf or NaN.
+    """
+    try:
+        return radius**exponent
+    except OverflowError:
+        raise PrecisionLossError(
+            f"radius power {radius}^{exponent} overflows a float"
+        ) from None
+
+
+def _family_rows(first: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
+    """Rows first * ratio^j for j < n, shape (n, len(first)), by a running product."""
+    rows = np.empty((n, first.size), dtype=complex)
+    rows[0] = first
+    rows[1:] = ratio
+    return np.cumprod(rows, axis=0, out=rows)
+
+
+def _a_values(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
+    """a_j at each x in xs for every j < n, shape (n, len(xs)), in one node loop.
+
+    On z_k = r2 omega^k the trapezoid sum of z^x rest_j(z) is r2^x times
+    ifft(rest_j) at index x mod N, so every x shares the same transform.
+    The rows rest_j = (qz-1)^(j+K-1) / (z-1)^(j+1) follow from rest_0 by the
+    factor (qz-1)/(z-1).  They take conjugate values at conjugate nodes, so
+    they are built on the half circle k = 0..N/2 and transformed by irfft.
+    Each row's stopping scale is the largest |rest_j| of its own row.
     """
     qf = float(spec.q)
-    jk = j + spec.K - 1
     exps = np.asarray(xs, dtype=np.int64)
     powers = spec.cfg.r2 ** exps.astype(float)
 
     def evaluate(count: int):
-        z = circle_nodes(spec.cfg.r2, count)
-        rest = (qf * z - 1.0) ** jk / (z - 1.0) ** (j + 1)
-        values = (qf - 1.0) * powers * np.fft.ifft(rest).real[exps % count]
-        return values, powers * float(np.max(np.abs(rest)))
+        z = circle_nodes(spec.cfg.r2, count)[: count // 2 + 1]
+        num, den = qf * z - 1.0, z - 1.0
+        rest = _family_rows(num ** (spec.K - 1) / den, num / den, spec.n)
+        values = (qf - 1.0) * powers * np.fft.irfft(rest, count, axis=1)[:, exps % count]
+        return values, powers * np.max(np.abs(rest), axis=1, keepdims=True)
 
     return _adaptive_batch(evaluate, spec.cfg.nodes)
 
 
-def _b_values(spec: KernelSpec, j: int, xs: np.ndarray) -> np.ndarray:
-    """b_j at each x in xs, read off one DFT of the integrand per refinement.
+def _b_values(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
+    """b_j at each x in xs for every j < n, shape (n, len(xs)), in one node loop.
 
-    On w_l = r1 omega^l the trapezoid sum of w^(1-x) rest(w) is r1^(1-x)
-    times fft(rest)/N at index (x - 1) mod N.
+    On w_l = r1 omega^l the trapezoid sum of w^(1-x) rest_j(w) is r1^(1-x)
+    times fft(rest_j)/N at index (x - 1) mod N.  The rows rest_j =
+    (w-1)^j / (qw-1)^(j+K) follow from rest_0 by the factor (w-1)/(qw-1),
+    on the half circle, and hfft gives the real transform of the full one.
     """
     qf = float(spec.q)
-    jk = j + spec.K
     exps = np.asarray(xs, dtype=np.int64)
     powers = spec.cfg.r1 ** (1.0 - exps.astype(float))
 
     def evaluate(count: int):
-        w = circle_nodes(spec.cfg.r1, count)
-        rest = (w - 1.0) ** j / (qf * w - 1.0) ** jk
-        values = powers * np.fft.fft(rest).real[(exps - 1) % count] / count
-        return values, powers * float(np.max(np.abs(rest)))
+        w = circle_nodes(spec.cfg.r1, count)[: count // 2 + 1]
+        num, den = w - 1.0, qf * w - 1.0
+        rest = _family_rows(1.0 / den**spec.K, num / den, spec.n)
+        values = powers * np.fft.hfft(rest, count, axis=1)[:, (exps - 1) % count] / count
+        return values, powers * np.max(np.abs(rest), axis=1, keepdims=True)
 
     return _adaptive_batch(evaluate, spec.cfg.nodes)
 
@@ -144,13 +183,13 @@ def a_fn(spec: KernelSpec, j: int, x: int) -> float:
     polynomial in x (at x = 0 the integrand picks up an extra residue at the
     origin, so the polynomial identity starts at 1)."""
     _check_index(spec, j)
-    return float(_a_values(spec, j, np.array([x]))[0])
+    return float(_a_values(spec, np.array([x]))[j, 0])
 
 
 def b_fn(spec: KernelSpec, j: int, x: int) -> float:
     """Value b_j(x); vanishes for x <= 0 and decays at worst like r1^(-x)."""
     _check_index(spec, j)
-    return float(_b_values(spec, j, np.array([x]))[0])
+    return float(_b_values(spec, np.array([x]))[j, 0])
 
 
 def biorthogonal_pairing(spec: KernelSpec, upper: int) -> np.ndarray:
@@ -158,20 +197,32 @@ def biorthogonal_pairing(spec: KernelSpec, upper: int) -> np.ndarray:
 
     Converges entrywise to the identity as upper grows; the truncation error
     decays geometrically because b swallows the polynomial growth of a.
+    Raises PrecisionLossError, before any array is built, when r2^upper, the
+    largest power the a-side sums are scaled by, is not a finite float.
     """
     if upper < 0:
         raise ValueError(f"pairing cutoff must be >= 0, got {upper}")
+    _radius_power(spec.cfg.r2, upper)
     ys = np.arange(upper + 1)
-    a_rows = np.vstack([_a_values(spec, i, ys) for i in range(spec.n)])
-    b_rows = np.vstack([_b_values(spec, j, ys) for j in range(spec.n)])
-    return a_rows @ b_rows.T
+    return _a_values(spec, ys) @ _b_values(spec, ys).T
 
 
 def cdf_biorth(spec: KernelSpec, eta: int) -> float:
-    """P[G(m, n) <= eta] as the determinant of the pairing truncated at eta + n."""
+    """P[G(m, n) <= eta] as the determinant of the pairing truncated at eta + n.
+
+    Raises PrecisionLossError when the pairing cannot be scaled in floats or
+    its determinant is not finite.
+    """
     if eta < 0:
         return 0.0
-    return float(np.linalg.det(biorthogonal_pairing(spec, eta + spec.n)))
+    pairing = biorthogonal_pairing(spec, eta + spec.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.linalg.det(pairing))
+    if not math.isfinite(value):
+        raise PrecisionLossError(
+            f"biorthogonal pairing determinant is {value} at n = {spec.n}, eta = {eta}"
+        )
+    return value
 
 
 def _series_terms(spec: KernelSpec) -> int:
@@ -237,7 +288,7 @@ def kernel_eval(spec: KernelSpec, x: int, y: int, tol: float = 1e-12) -> float:
     of each factor (`_cauchy_series`): O(N log N) per node count N.
     """
     u, v = x + spec.n, y + spec.n
-    powers = spec.cfg.r2**u * spec.cfg.r1 ** (-v)
+    powers = _radius_power(spec.cfg.r2, u) * _radius_power(spec.cfg.r1, -v)
 
     def evaluate(count: int):
         series, bound = _cauchy_series(spec, count, u, v)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -229,10 +230,21 @@ def delta_neg_binomial(q, m: int, k: int, x: int) -> Fraction:
     return Fraction((b - a) ** m * total, b ** (m + top))
 
 
+@lru_cache(maxsize=32)
+def _unit_roots(count: int) -> np.ndarray:
+    """The count-th roots of unity omega^k, built once per node count and read-only."""
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
+    roots.flags.writeable = False
+    return roots
+
+
 def circle_nodes(radius: float, count: int) -> np.ndarray:
-    """Equispaced quadrature nodes on the circle |z| = radius."""
-    theta = 2.0 * np.pi * np.arange(count) / count
-    return radius * np.exp(1j * theta)
+    """Equispaced quadrature nodes on the circle |z| = radius.
+
+    The result is a fresh array, radius times the shared table of unit roots,
+    so no caller can write into the table.
+    """
+    return radius * _unit_roots(count)
 
 
 def circle_integral(
