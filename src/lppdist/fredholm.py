@@ -124,6 +124,19 @@ def _radius_power(radius: float, exponent: int) -> float:
         ) from None
 
 
+def _stopping_scale(powers: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """powers times the largest |rest_j| of each row: the summand scale of a
+    batched trapezoid sum, or PrecisionLossError when it is not a finite float.
+
+    An infinite scale would let the stopping rule pass whatever the sums are.
+    """
+    with np.errstate(over="ignore"):
+        scale = powers * np.max(np.abs(rest), axis=1, keepdims=True)
+    if not np.isfinite(scale).all():
+        raise PrecisionLossError("contour summand scale overflows a float")
+    return scale
+
+
 def _family_rows(first: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
     """Rows first * ratio^j for j < n, shape (n, len(first)), by a running product."""
     rows = np.empty((n, first.size), dtype=complex)
@@ -140,7 +153,8 @@ def _a_values(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
     The rows rest_j = (qz-1)^(j+K-1) / (z-1)^(j+1) follow from rest_0 by the
     factor (qz-1)/(z-1).  They take conjugate values at conjugate nodes, so
     they are built on the half circle k = 0..N/2 and transformed by irfft.
-    Each row's stopping scale is the largest |rest_j| of its own row.
+    Each row's stopping scale is the largest |rest_j| of its own row, times
+    r2^x; PrecisionLossError when that product overflows.
     """
     qf = float(spec.q)
     exps = np.asarray(xs, dtype=np.int64)
@@ -150,8 +164,8 @@ def _a_values(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
         z = circle_nodes(spec.cfg.r2, count)[: count // 2 + 1]
         num, den = qf * z - 1.0, z - 1.0
         rest = _family_rows(num ** (spec.K - 1) / den, num / den, spec.n)
-        values = (qf - 1.0) * powers * np.fft.irfft(rest, count, axis=1)[:, exps % count]
-        return values, powers * np.max(np.abs(rest), axis=1, keepdims=True)
+        scale = _stopping_scale(powers, rest)
+        return (qf - 1.0) * powers * np.fft.irfft(rest, count, axis=1)[:, exps % count], scale
 
     return _adaptive_batch(evaluate, spec.cfg.nodes)
 
@@ -172,8 +186,8 @@ def _b_values(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
         w = circle_nodes(spec.cfg.r1, count)[: count // 2 + 1]
         num, den = w - 1.0, qf * w - 1.0
         rest = _family_rows(1.0 / den**spec.K, num / den, spec.n)
-        values = powers * np.fft.hfft(rest, count, axis=1)[:, (exps - 1) % count] / count
-        return values, powers * np.max(np.abs(rest), axis=1, keepdims=True)
+        scale = _stopping_scale(powers, rest)
+        return powers * np.fft.hfft(rest, count, axis=1)[:, (exps - 1) % count] / count, scale
 
     return _adaptive_batch(evaluate, spec.cfg.nodes)
 
@@ -198,7 +212,8 @@ def biorthogonal_pairing(spec: KernelSpec, upper: int) -> np.ndarray:
     Converges entrywise to the identity as upper grows; the truncation error
     decays geometrically because b swallows the polynomial growth of a.
     Raises PrecisionLossError, before any array is built, when r2^upper, the
-    largest power the a-side sums are scaled by, is not a finite float.
+    largest power the a-side sums are scaled by, is not a finite float, and
+    when the a-side summand scale r2^upper max|rest_j| is not.
     """
     if upper < 0:
         raise ValueError(f"pairing cutoff must be >= 0, got {upper}")

@@ -139,9 +139,18 @@ class WeightGrid:
         return self.w.shape[1]
 
 
-def _geometric_from_uniform(u: np.ndarray, qf: float) -> np.ndarray:
-    # Inverse CDF: P[k >= j] = q^j, so k = floor(log(1-u) / log q) for u ~ U[0,1).
-    return np.floor(np.log1p(-u) / math.log(qf)).astype(np.int64)
+def _geometric_from_uniform(u: np.ndarray, qf: float, out: np.ndarray) -> np.ndarray:
+    """Geometric(q) weights from uniforms u in [0, 1), written into the int64
+    array `out` of u's shape; u is overwritten.
+
+    Inverse CDF: P[k >= j] = q^j, so k = floor(log(1-u) / log q).
+    """
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.divide(u, math.log(qf), out=u)
+    np.floor(u, out=u)
+    np.copyto(out, u, casting="unsafe")
+    return out
 
 
 def _philox(seed: int, jumps: int = 0) -> np.random.Generator:
@@ -161,7 +170,7 @@ def sample_grid(q, m: int, n: int, seed: int) -> WeightGrid:
         raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
     qf = float(GeometricParameter.coerce(q))
     u = _philox(seed).random((m, n))
-    return WeightGrid(_geometric_from_uniform(u, qf))
+    return WeightGrid(_geometric_from_uniform(u, qf, np.empty((m, n), dtype=np.int64)))
 
 
 def last_passage(grid: WeightGrid | np.ndarray) -> np.ndarray:
@@ -184,17 +193,23 @@ def last_passage(grid: WeightGrid | np.ndarray) -> np.ndarray:
 def _last_passage_final_batch(w: np.ndarray) -> np.ndarray:
     """G(m, n) per sample for a stack of grids, shape (batch, m, n)."""
     batch, m, n = w.shape
-    g = np.zeros((batch, n), dtype=np.int64)
+    g = np.zeros((n, batch), dtype=np.int64)
     for i in range(m):
-        g[:, 0] += w[:, i, 0]
+        g[0] += w[:, i, 0]
         for j in range(1, n):
-            np.maximum(g[:, j], g[:, j - 1], out=g[:, j])
-            g[:, j] += w[:, i, j]
-    return g[:, n - 1]
+            np.maximum(g[j], g[j - 1], out=g[j])
+            g[j] += w[:, i, j]
+    return g[n - 1]
 
 
 _MC_BLOCK_SAMPLES = 1 << 16
 _MC_BLOCK_ELEMENT_CAP = 1 << 22
+#: Uniforms per chunk: each block's stream is drawn and reduced this many at a
+#: time, on buffers allocated once per call, so the working set stays in cache.
+_MC_CHUNK_ELEMENTS = 1 << 16
+#: Fewest samples per chunk: the kernel runs 2 m n array operations per chunk,
+#: which on large grids cost more per call than per element below this.
+_MC_CHUNK_MIN_SAMPLES = 1 << 10
 
 
 def _mc_block_size(m: int, n: int) -> int:
@@ -212,24 +227,35 @@ def mc_cdfs(
     function of the grid shape), and the reduction is an integer hit count
     per threshold, so each estimate is deterministic in the arguments and
     equals the one-threshold `mc_cdf` result.
+
+    Each block's stream is drawn and reduced in consecutive chunks of at
+    most `_MC_CHUNK_ELEMENTS` uniforms (or `_MC_CHUNK_MIN_SAMPLES` grids,
+    when one grid is large).  Philox is counter-based, so the chunks hold
+    exactly the uniforms a whole-block draw would, and the estimates are
+    the same bits whatever the chunk size.  Every chunk reuses two buffers
+    allocated once per call, so memory does not grow with `samples`.
     """
     if m < 1 or n < 1:
         raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
     if samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
     qf = float(GeometricParameter.coerce(q))
+    cells = m * n
     block = _mc_block_size(m, n)
+    chunk = min(samples, block, max(_MC_CHUNK_MIN_SAMPLES, _MC_CHUNK_ELEMENTS // cells))
+    uniforms = np.empty(chunk * cells)
+    weights = np.empty(chunk * cells, dtype=np.int64)
     hits = [0] * len(etas)
-    done = 0
-    block_index = 0
-    while done < samples:
-        count = min(block, samples - done)
-        u = _philox(seed, jumps=block_index).random((count, m, n))
-        g = _last_passage_final_batch(_geometric_from_uniform(u, qf))
-        for k, eta in enumerate(etas):
-            hits[k] += int(np.count_nonzero(g <= eta))
-        done += count
-        block_index += 1
+    for start in range(0, samples, block):
+        gen = _philox(seed, jumps=start // block)
+        stop = min(start + block, samples)
+        for low in range(start, stop, chunk):
+            size = min(chunk, stop - low) * cells
+            u = gen.random(out=uniforms[:size]).reshape(-1, m, n)
+            w = _geometric_from_uniform(u, qf, weights[:size].reshape(-1, m, n))
+            g = _last_passage_final_batch(w)
+            for k, eta in enumerate(etas):
+                hits[k] += int(np.count_nonzero(g <= eta))
     estimates = [h / samples for h in hits]
     return [(p, math.sqrt(p * (1.0 - p) / samples)) for p in estimates]
 
