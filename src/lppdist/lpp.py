@@ -14,9 +14,9 @@ uses the product form: a step is a sweep over the n columns, each a fold of
 the integer masses onto max(y_{k-1}, x_k) and a geometric recurrence along
 y_k, so no state's outgoing row is ever built.  The MEIXNER_MAX_STATES cap
 bounds the state count and the number of entries those rows would hold,
-which no layer of the sweep exceeds.  Everything
-here is independent of the determinantal machinery in the sibling modules,
-which is what makes it usable as an oracle for them.
+which no layer of the sweep exceeds, and the cells of one Monte Carlo grid.
+Everything here is independent of the determinantal machinery in the sibling
+modules, which is what makes it usable as an oracle for them.
 """
 
 from __future__ import annotations
@@ -164,11 +164,13 @@ def sample_grid(q, m: int, n: int, seed: int) -> WeightGrid:
     """One i.i.d. geometric(q) weight grid from a counter-based stream.
 
     The Philox generator is keyed by the seed alone, so equal seeds give
-    identical grids on any platform.
+    identical grids on any platform.  The m n cells are charged to the state
+    cap before the grid is allocated.
     """
     if m < 1 or n < 1:
         raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
     qf = float(GeometricParameter.coerce(q))
+    check_state_cap(m * n, f"Monte Carlo grid cells for m={m}, n={n}")
     u = _philox(seed).random((m, n))
     return WeightGrid(_geometric_from_uniform(u, qf, np.empty((m, n), dtype=np.int64)))
 
@@ -233,7 +235,9 @@ def mc_cdfs(
     when one grid is large).  Philox is counter-based, so the chunks hold
     exactly the uniforms a whole-block draw would, and the estimates are
     the same bits whatever the chunk size.  Every chunk reuses two buffers
-    allocated once per call, so memory does not grow with `samples`.
+    allocated once per call, so memory does not grow with `samples`.  The
+    m n cells of one grid are charged to the state cap before any buffer is
+    allocated.
     """
     if m < 1 or n < 1:
         raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
@@ -241,6 +245,7 @@ def mc_cdfs(
         raise ValueError(f"sample count must be >= 1, got {samples}")
     qf = float(GeometricParameter.coerce(q))
     cells = m * n
+    check_state_cap(cells, f"Monte Carlo grid cells for m={m}, n={n}")
     block = _mc_block_size(m, n)
     chunk = min(samples, block, max(_MC_CHUNK_MIN_SAMPLES, _MC_CHUNK_ELEMENTS // cells))
     uniforms = np.empty(chunk * cells)

@@ -7,12 +7,12 @@ sit inside {0, ..., eta + n - 1}:
     P = (1 / Z_{m,n}) sum_{x in box^n} Delta(x)^2 prod_j rho(x_j),
 
 with Delta the Vandermonde product and Z the same sum over the full lattice.
-Two independent evaluations are provided: an exact rational brute-force box
-sum whose normalization comes from a closed-form Hankel moment determinant
-(Andreief / Cauchy-Binet reduction), and a high-precision Gram route that
-forms both the box and full-lattice moment matrices numerically and takes the
-ratio of their determinants.  The brute-force numerator covers every cell
-of the box: for q = num/den it sums integer site weights scaled by
+Both evaluations normalise by the exact Z from a closed-form Hankel moment
+determinant (Andreief / Cauchy-Binet reduction), `partition_function`.  The
+numerators are independent: an exact rational brute-force box sum, and a
+high-precision Gram route that forms the box moment matrix numerically and
+takes its determinant.  The brute-force numerator covers every cell of the
+box: for q = num/den it sums integer site weights scaled by
 den^(eta+n-1) and divides once, and it builds Delta^2 coordinate by
 coordinate from prefix products, so a cell costs one multiply-add.  The
 module also evaluates the underlying Meixner polynomials through their
@@ -177,70 +177,38 @@ def meixner_cdf_bruteforce(mq: MeixnerEnsembleQuery) -> Fraction:
     return numerator / partition_function(mq.q, mdim, n)
 
 
-def _gram_moments(mq: MeixnerEnsembleQuery, shift, dps: int):
-    """Box and full-lattice power moments of the shifted particle positions."""
-    n, eta = mq.n, mq.eta
-    a = mq.m - n
+#: Most box sites the Gram route sums over before it refuses the query.
+_GRAM_MAX_SITES = 1_000_000
+
+
+def _box_moments(mq: MeixnerEnsembleQuery) -> list:
+    """Power moments of the particle positions over the box, centred on its midpoint."""
+    a = mq.m - mq.n
     qf = mpmath.mpf(mq.q.value.numerator) / mq.q.value.denominator
-    top = 2 * n - 2
-    hi = mq.box_high
-
-    def weight(x: int) -> mpmath.mpf:
-        return mpmath.mpf(math.comb(x + a, x)) * qf**x
-
+    shift = mpmath.mpf(mq.box_high) / 2
+    top = 2 * mq.n - 2
     box = [mpmath.mpf(0)] * (top + 1)
-    full = [mpmath.mpf(0)] * (top + 1)
-
-    def accumulate(target, x: int, rho) -> None:
+    for x in range(mq.box_high + 1):
+        rho = mpmath.mpf(math.comb(x + a, x)) * qf**x
         centered = mpmath.mpf(x) - shift
         power = mpmath.mpf(1)
         for r in range(top + 1):
-            target[r] += power * rho
+            box[r] += power * rho
             power *= centered
-
-    x = 0
-    tail_eps = mpmath.mpf(10) ** (-(dps + 10))
-    x_cap = 1_000_000
-    while True:
-        rho = weight(x)
-        if x <= hi:
-            accumulate(box, x, rho)
-        accumulate(full, x, rho)
-        if x > hi and x > 2 * top and x > 4 * abs(shift) + 8:
-            # Beyond this point the summand of every moment decays at least
-            # geometrically with this ratio, giving an explicit tail bound.
-            ratio = qf * (x + 1 + a) / (x + 1) * ((x + 1 - shift) / (x - shift)) ** top
-            if ratio < 1:
-                tail = abs(mpmath.mpf(x) - shift) ** top * rho * ratio / (1 - ratio)
-                if tail < tail_eps * max(mpmath.mpf(1), full[0]):
-                    break
-        x += 1
-        if x > x_cap:
-            raise PrecisionLossError(f"full-lattice moment sum did not close within {x_cap} terms")
-    return box, full
-
-
-def _hankel(moments, n: int):
-    mat = mpmath.matrix(n, n)
-    for i in range(n):
-        for j in range(n):
-            mat[i, j] = moments[i + j]
-    return mat
-
-
-def _condition_1norm(mat) -> mpmath.mpf:
-    return mpmath.mnorm(mat, 1) * mpmath.mnorm(mpmath.inverse(mat), 1)
+    return box
 
 
 def meixner_cdf_gram(mq: MeixnerEnsembleQuery, precision: int = 50):
-    """High-precision ensemble probability as a ratio of Gram determinants.
+    """High-precision ensemble probability from the box Gram determinant.
 
-    Both the box-restricted and full-lattice moment matrices are formed in
-    centered monomials (x - (eta+n-1)/2)^k to tame their conditioning; the
-    centering is a determinant-preserving basis change, so the ratio is the
-    ensemble probability exactly.  Raises PrecisionLossError when the
-    conditioning of either matrix eats more than the working precision can
-    support, or when either matrix is singular at that precision.  Returns
+    The box moment matrix is formed in centered monomials (x - (eta+n-1)/2)^k
+    to tame its conditioning, and P = n! det(box) / Z with Z the exact
+    `partition_function`.  Centering is a unimodular change of basis, so the
+    full-lattice centered Hankel determinant is Z / n! and the ratio is the
+    ensemble probability exactly.  Raises PrecisionLossError when the box has
+    more than 10^6 sites, when the conditioning of the box matrix eats more
+    than the working precision can support, or when that matrix is singular
+    at that precision; all three are checked before Z is computed.  Returns
     an mpmath float with `precision` significant digits.
     """
     if precision < 10:
@@ -248,13 +216,15 @@ def meixner_cdf_gram(mq: MeixnerEnsembleQuery, precision: int = 50):
     if mq.eta < 0:
         return mpmath.mpf(0)
     n = mq.n
+    if mq.box_high + 1 > _GRAM_MAX_SITES:
+        raise PrecisionLossError(
+            f"Gram box of {mq.box_high + 1} sites exceeds {_GRAM_MAX_SITES} sites"
+        )
     with mpmath.workdps(precision + 15):
-        shift = mpmath.mpf(mq.box_high) / 2
-        box_mom, full_mom = _gram_moments(mq, shift, precision + 15)
-        box = _hankel(box_mom, n)
-        full = _hankel(full_mom, n)
+        moments = _box_moments(mq)
+        box = mpmath.matrix([[moments[i + j] for j in range(n)] for i in range(n)])
         try:
-            cond = max(_condition_1norm(box), _condition_1norm(full))
+            cond = mpmath.mnorm(box, 1) * mpmath.mnorm(mpmath.inverse(box), 1)
         except ZeroDivisionError as exc:  # mpmath.inverse: "matrix is numerically singular"
             raise PrecisionLossError(
                 f"Gram matrix is numerically singular at {precision} digits; raise precision"
@@ -264,7 +234,8 @@ def meixner_cdf_gram(mq: MeixnerEnsembleQuery, precision: int = 50):
                 f"Gram condition estimate {mpmath.nstr(cond, 3)} exceeds what "
                 f"{precision} digits support; raise precision"
             )
-        value = mpmath.det(box) / mpmath.det(full)
+        z = partition_function(mq.q, mq.m, n)
+        value = math.factorial(n) * mpmath.det(box) * z.denominator / z.numerator
     with mpmath.workdps(precision):
         return +value
 

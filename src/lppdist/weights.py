@@ -104,7 +104,9 @@ class ContourConfig:
 
     r2 is the inner radius (z contour), r1 the outer (w contour); admissible
     kernels need 1 < r2 < r1 < 1/q, where the last bound depends on q and is
-    checked by `validate_for`.
+    checked by `validate_for`.  The starting node count is at most
+    MAX_NODES / 2: the doubling loop needs a second refinement within
+    MAX_NODES, so a larger start could never converge.
     """
 
     r2: float
@@ -114,8 +116,10 @@ class ContourConfig:
     def __post_init__(self) -> None:
         if not (1.0 < self.r2 < self.r1):
             raise ValueError(f"radii must satisfy 1 < r2 < r1, got r2={self.r2}, r1={self.r1}")
-        if self.nodes < 16 or self.nodes % 2:
-            raise ValueError(f"node count must be even and >= 16, got {self.nodes}")
+        if not 16 <= self.nodes <= MAX_NODES // 2 or self.nodes % 2:
+            raise ValueError(
+                f"node count must be even and in [16, {MAX_NODES // 2}], got {self.nodes}"
+            )
 
     def validate_for(self, q) -> None:
         bound = 1.0 / float(_q(q))
