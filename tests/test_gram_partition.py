@@ -1,9 +1,9 @@
 """The Gram route divides the box Gram determinant by the exact partition function.
 
-Z comes from `partition_function`, so edge inputs that once needed a long
-full-lattice moment sum (q near 1, high working precision) answer quickly,
-boxes beyond 10^6 sites refuse before any moment is summed, and every answered
-query computes Z exactly once, after the box matrix has passed its checks.
+Z comes from `partition_function`, so no moment is summed beyond the box: q
+near 1 and high working precision answer quickly, boxes beyond 10^6 sites
+refuse before any moment is summed, and every answered query computes Z
+exactly once, after the box matrix has passed its checks.
 """
 
 import time
