@@ -48,6 +48,7 @@ factors exceeds by roundoff.  Every route takes its nodes from
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,55 @@ __all__ = [
 VARIANTS = ("derivation", "printed")
 
 _SECTION_CAP = 2048
+
+#: Bytes of contour transforms kept across calls, over all entries.
+_MEMO_BUDGET = 8 * 2**20
+
+
+class _TransformMemo:
+    """Least-recently-used memo of contour transforms, bounded in bytes.
+
+    `get(build, *args)` returns build(*args), a tuple of arrays and floats,
+    and keeps it under the key (build, args): a builder reads nothing but its
+    arguments, so the key holds exactly the inputs of its arithmetic.  Kept
+    arrays are read-only.  The oldest entries are dropped once the kept
+    arrays exceed the budget, and an entry larger than the budget is
+    returned without being kept.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, build, *args):
+        key = (build, args)
+        kept = self._entries.get(key)
+        if kept is not None:
+            self._entries.move_to_end(key)
+            return kept[0]
+        entry = build(*args)
+        arrays = [part for part in entry if isinstance(part, np.ndarray)]
+        for array in arrays:
+            array.flags.writeable = False
+        size = sum(array.nbytes for array in arrays)
+        if size <= self.budget:
+            self._entries[key] = entry, size
+            self.nbytes += size
+            while self.nbytes > self.budget:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.nbytes -= dropped
+        return entry
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+_TRANSFORMS = _TransformMemo(_MEMO_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -124,14 +174,15 @@ def _radius_power(radius: float, exponent: int) -> float:
         ) from None
 
 
-def _stopping_scale(powers: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """powers times the largest |rest_j| of each row: the summand scale of a
-    batched trapezoid sum, or PrecisionLossError when it is not a finite float.
+def _stopping_scale(powers: np.ndarray, row_max: np.ndarray) -> np.ndarray:
+    """powers times row_max, the largest |rest_j| of each row, shape (n, 1):
+    the summand scale of a batched trapezoid sum, or PrecisionLossError when
+    it is not a finite float.
 
     An infinite scale would let the stopping rule pass whatever the sums are.
     """
     with np.errstate(over="ignore"):
-        scale = powers * np.max(np.abs(rest), axis=1, keepdims=True)
+        scale = powers * row_max
     if not np.isfinite(scale).all():
         raise PrecisionLossError("contour summand scale overflows a float")
     return scale
@@ -143,6 +194,24 @@ def _family_rows(first: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
     rows[0] = first
     rows[1:] = ratio
     return np.cumprod(rows, axis=0, out=rows)
+
+
+def _a_family(qf: float, K: int, n: int, r2: float, count: int):
+    """irfft of the a-side rows rest_j on count nodes, shape (n, count), and
+    the largest |rest_j| of each row, shape (n, 1)."""
+    z = circle_nodes(r2, count)[: count // 2 + 1]
+    num, den = qf * z - 1.0, z - 1.0
+    rest = _family_rows(num ** (K - 1) / den, num / den, n)
+    return np.fft.irfft(rest, count, axis=1), np.max(np.abs(rest), axis=1, keepdims=True)
+
+
+def _b_family(qf: float, K: int, n: int, r1: float, count: int):
+    """hfft of the b-side rows rest_j on count nodes, shape (n, count), and
+    the largest |rest_j| of each row, shape (n, 1)."""
+    w = circle_nodes(r1, count)[: count // 2 + 1]
+    num, den = w - 1.0, qf * w - 1.0
+    rest = _family_rows(1.0 / den**K, num / den, n)
+    return np.fft.hfft(rest, count, axis=1), np.max(np.abs(rest), axis=1, keepdims=True)
 
 
 def _a_values(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
@@ -161,11 +230,9 @@ def _a_values(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
     powers = spec.cfg.r2 ** exps.astype(float)
 
     def evaluate(count: int):
-        z = circle_nodes(spec.cfg.r2, count)[: count // 2 + 1]
-        num, den = qf * z - 1.0, z - 1.0
-        rest = _family_rows(num ** (spec.K - 1) / den, num / den, spec.n)
-        scale = _stopping_scale(powers, rest)
-        return (qf - 1.0) * powers * np.fft.irfft(rest, count, axis=1)[:, exps % count], scale
+        table, row_max = _TRANSFORMS.get(_a_family, qf, spec.K, spec.n, spec.cfg.r2, count)
+        scale = _stopping_scale(powers, row_max)
+        return (qf - 1.0) * powers * table[:, exps % count], scale
 
     return _adaptive_batch(evaluate, spec.cfg.nodes)
 
@@ -183,11 +250,9 @@ def _b_values(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
     powers = spec.cfg.r1 ** (1.0 - exps.astype(float))
 
     def evaluate(count: int):
-        w = circle_nodes(spec.cfg.r1, count)[: count // 2 + 1]
-        num, den = w - 1.0, qf * w - 1.0
-        rest = _family_rows(1.0 / den**spec.K, num / den, spec.n)
-        scale = _stopping_scale(powers, rest)
-        return powers * np.fft.hfft(rest, count, axis=1)[:, (exps - 1) % count] / count, scale
+        table, row_max = _TRANSFORMS.get(_b_family, qf, spec.K, spec.n, spec.cfg.r1, count)
+        scale = _stopping_scale(powers, row_max)
+        return powers * table[:, (exps - 1) % count] / count, scale
 
     return _adaptive_batch(evaluate, spec.cfg.nodes)
 
@@ -251,7 +316,7 @@ def _series_terms(spec: KernelSpec) -> int:
     return math.ceil(math.log(eps * (1.0 - rho)) / math.log(rho))
 
 
-def _factor_transforms(spec: KernelSpec, count: int):
+def _full_circle_factors(qf: float, m: int, n: int, e: int, r2: float, r1: float, count: int):
     """ifft(fz), fft(gw)/N, max|fz| and max|gw| on N = count nodes.
 
     fz = (1 - qz)^m / (1 - z)^n on z_k = r2 omega^k and
@@ -260,17 +325,24 @@ def _factor_transforms(spec: KernelSpec, count: int):
     factors take conjugate values at conjugate nodes.  Every entry of a
     transform is bounded by the largest magnitude of its factor.
     """
-    qf = float(spec.q)
-    z = circle_nodes(spec.cfg.r2, count)
-    w = circle_nodes(spec.cfg.r1, count)
-    fz = (1.0 - qf * z) ** spec.m / (1.0 - z) ** spec.n
-    gw = (1.0 - w) ** spec.n / (1.0 - qf * w) ** spec.denominator_power
+    z = circle_nodes(r2, count)
+    w = circle_nodes(r1, count)
+    fz = (1.0 - qf * z) ** m / (1.0 - z) ** n
+    gw = (1.0 - w) ** n / (1.0 - qf * w) ** e
     return (
-        np.fft.ifft(fz).real,
+        # .real alone is a view that keeps the complex array alive in the memo.
+        np.fft.ifft(fz).real.copy(),
         np.fft.fft(gw).real / count,
         float(np.max(np.abs(fz))),
         float(np.max(np.abs(gw))),
     )
+
+
+def _factor_transforms(spec: KernelSpec, count: int):
+    """The kernel's full-circle factor transforms (`_full_circle_factors`), from the memo."""
+    cfg = spec.cfg
+    return _TRANSFORMS.get(_full_circle_factors, float(spec.q), spec.m, spec.n,
+                           spec.denominator_power, cfg.r2, cfg.r1, count)
 
 
 def _cauchy_series(spec: KernelSpec, count: int, u: int, v: int):
