@@ -4,15 +4,20 @@ Four independent representations of P[G(m, n) <= eta] live side by side:
 Monte Carlo simulation and exact dynamic programming (`lpp`), finite
 difference determinants (`detformulas`), Meixner ensemble box sums
 (`meixner`), and biorthogonal / Fredholm contour machinery (`fredholm`).
-They share only the scalar calculus in `weights`, so agreement between them
-is evidence, not tautology.  The `lppdist` console script exposes the same
+They share only `weights` (the scalar calculus, the state cap and the
+ordered-vector type), so agreement between them is evidence, not tautology.  The `lppdist` console script exposes the same
 evaluators plus a crosscheck harness.
 """
 
 from .weights import (
+    DEFAULT_MAX_STATES,
+    MAX_STATES_ENV,
     ContourConfig,
     GeometricParameter,
+    OrderedVector,
+    PrecisionLossError,
     QuadratureError,
+    StateSpaceError,
     adaptive_circle_integral,
     circle_integral,
     circle_nodes,
@@ -24,10 +29,6 @@ from .weights import (
     neg_binomial,
 )
 from .lpp import (
-    DEFAULT_MAX_STATES,
-    MAX_STATES_ENV,
-    OrderedVector,
-    StateSpaceError,
     WeightGrid,
     exact_cdf_dp,
     last_passage,
@@ -46,7 +47,6 @@ from .detformulas import (
 )
 from .meixner import (
     MeixnerEnsembleQuery,
-    PrecisionLossError,
     meixner_cdf_bruteforce,
     meixner_cdf_gram,
     meixner_poly,
@@ -69,9 +69,14 @@ from .fredholm import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "DEFAULT_MAX_STATES",
+    "MAX_STATES_ENV",
     "ContourConfig",
     "GeometricParameter",
+    "OrderedVector",
+    "PrecisionLossError",
     "QuadratureError",
+    "StateSpaceError",
     "adaptive_circle_integral",
     "circle_integral",
     "circle_nodes",
@@ -81,10 +86,6 @@ __all__ = [
     "geometric_pmf",
     "heaviside_conv_pow",
     "neg_binomial",
-    "DEFAULT_MAX_STATES",
-    "MAX_STATES_ENV",
-    "OrderedVector",
-    "StateSpaceError",
     "WeightGrid",
     "exact_cdf_dp",
     "last_passage",
@@ -99,7 +100,6 @@ __all__ = [
     "joint_cdf",
     "transition_det",
     "MeixnerEnsembleQuery",
-    "PrecisionLossError",
     "meixner_cdf_bruteforce",
     "meixner_cdf_gram",
     "meixner_poly",

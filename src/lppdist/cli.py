@@ -24,10 +24,10 @@ import mpmath
 
 from .detformulas import CdfQuery, cdf_det, joint_cdf, transition_det, TransitionQuery
 from .fredholm import _SECTION_CAP, KernelSpec, cdf_biorth, cdf_fredholm
-from .lpp import OrderedVector, StateSpaceError, exact_cdf_dp, mc_cdf, mc_cdfs
-from .meixner import (MeixnerEnsembleQuery, PrecisionLossError, meixner_cdf_bruteforce,
-                      meixner_cdf_gram)
-from .weights import ContourConfig, GeometricParameter, QuadratureError
+from .lpp import exact_cdf_dp, mc_cdf, mc_cdfs
+from .meixner import MeixnerEnsembleQuery, meixner_cdf_bruteforce, meixner_cdf_gram
+from .weights import (ContourConfig, GeometricParameter, OrderedVector, PrecisionLossError,
+                      QuadratureError, StateSpaceError)
 
 __all__ = ["main", "REPORT_SCHEMA", "METHOD_ENTRY_SCHEMA", "CROSSCHECK_METHODS"]
 

@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lpp import OrderedVector, check_state_cap
-from .weights import GeometricParameter, PrecisionLossError, delta_neg_binomial
+from .weights import (GeometricParameter, OrderedVector, PrecisionLossError, check_state_cap,
+                      delta_neg_binomial)
 
 __all__ = [
     "TransitionQuery",

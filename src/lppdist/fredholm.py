@@ -367,7 +367,7 @@ def _cauchy_series(spec: KernelSpec, count: int, u: int, v: int):
     return series / (1.0 - rho**count), fmax * gmax / (1.0 - rho)
 
 
-def kernel_eval(spec: KernelSpec, x: int, y: int, tol: float = 1e-12) -> float:
+def kernel_eval(spec: KernelSpec, x: int, y: int) -> float:
     """Kernel entry K(x, y) by the double contour integral.
 
     Both circles share the angles omega^k, so the Cauchy core w/(w - z) is
@@ -381,7 +381,7 @@ def kernel_eval(spec: KernelSpec, x: int, y: int, tol: float = 1e-12) -> float:
         series, bound = _cauchy_series(spec, count, u, v)
         return powers * float(series), powers * bound
 
-    return float(_adaptive_batch(evaluate, spec.cfg.nodes, tol=tol))
+    return float(_adaptive_batch(evaluate, spec.cfg.nodes))
 
 
 def _reach(seq: np.ndarray, size: int) -> np.ndarray:

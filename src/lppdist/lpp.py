@@ -13,16 +13,15 @@ propagating that transition over a truncated state space.  The propagation
 uses the product form: a step is a sweep over the n columns, each a fold of
 the integer masses onto max(y_{k-1}, x_k) and a geometric recurrence along
 y_k, so no state's outgoing row is ever built.  The MEIXNER_MAX_STATES cap
-bounds the state count and the number of entries those rows would hold,
-which no layer of the sweep exceeds, and the cells of one Monte Carlo grid.
-Everything here is independent of the determinantal machinery in the sibling
-modules, which is what makes it usable as an oracle for them.
+of `weights` bounds the state count and the number of entries those rows
+would hold, which no layer of the sweep exceeds, and the cells of one Monte
+Carlo grid.  Everything here is independent of the determinantal machinery in
+the sibling modules, which is what makes it usable as an oracle for them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,15 +30,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .weights import GeometricParameter, geometric_pmf
+from .weights import (GeometricParameter, OrderedVector, StateSpaceError, _state_cap,
+                      check_state_cap, geometric_pmf)
+from .weights import MAX_STATES_ENV  # noqa: F401  (still importable from here)
 
 __all__ = [
-    "OrderedVector",
     "WeightGrid",
-    "StateSpaceError",
-    "MAX_STATES_ENV",
-    "DEFAULT_MAX_STATES",
-    "check_state_cap",
     "sample_grid",
     "last_passage",
     "mc_cdf",
@@ -47,71 +43,6 @@ __all__ = [
     "one_step_transition",
     "exact_cdf_dp",
 ]
-
-MAX_STATES_ENV = "MEIXNER_MAX_STATES"
-DEFAULT_MAX_STATES = 5_000_000
-
-
-class StateSpaceError(RuntimeError):
-    """Requested exact enumeration exceeds the configured state cap."""
-
-
-def _state_cap() -> int:
-    raw = os.environ.get(MAX_STATES_ENV)
-    if raw is None:
-        return DEFAULT_MAX_STATES
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{MAX_STATES_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{MAX_STATES_ENV} must be positive, got {cap}")
-    return cap
-
-
-def check_state_cap(count: int, what: str, cap: int | None = None) -> None:
-    """Raise StateSpaceError when `count` exceeds the state cap.
-
-    The cap is read from the MEIXNER_MAX_STATES environment variable (default
-    5e6) unless the caller passes the value it already read.  `count` may be
-    a running count, so the message states it as a lower bound.
-    """
-    if cap is None:
-        cap = _state_cap()
-    if count > cap:
-        raise StateSpaceError(
-            f"{what} number at least {count}, above the {MAX_STATES_ENV} cap {cap}"
-        )
-
-
-@dataclass(frozen=True)
-class OrderedVector:
-    """A point of the ordered cone: a weakly increasing tuple of integers."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ent = tuple(int(e) for e in self.entries)
-        object.__setattr__(self, "entries", ent)
-        if len(ent) == 0:
-            raise ValueError("ordered vector must have at least one entry")
-        if any(a > b for a, b in zip(ent, ent[1:])):
-            raise ValueError(f"entries must be weakly increasing, got {ent}")
-
-    @classmethod
-    def coerce(cls, x: "OrderedVector | Sequence[int]") -> "OrderedVector":
-        if isinstance(x, cls):
-            return x
-        return cls(tuple(x))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ sit inside {0, ..., eta + n - 1}:
     P = (1 / Z_{m,n}) sum_{x in box^n} Delta(x)^2 prod_j rho(x_j),
 
 with Delta the Vandermonde product and Z the same sum over the full lattice.
-Both evaluations normalise by the exact Z from a closed-form Hankel moment
-determinant (Andreief / Cauchy-Binet reduction), `partition_function`.  The
-numerators are independent: an exact rational brute-force box sum, and a
+Both evaluations normalise by the exact Z of `partition_function`, the
+closed-form product of the squared norms of the monic Meixner polynomials.
+The numerators are independent: an exact rational brute-force box sum, and a
 high-precision Gram route that forms the box moment matrix numerically and
 takes its determinant.  The brute-force numerator covers every cell of the
 box: for q = num/den it sums integer site weights scaled by
@@ -27,10 +27,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .detformulas import bareiss_determinant
-from .lpp import StateSpaceError, check_state_cap
-from .weights import (ContourConfig, GeometricParameter, PrecisionLossError,
-                      adaptive_circle_integral)
+from .weights import (ContourConfig, GeometricParameter, PrecisionLossError, StateSpaceError,
+                      adaptive_circle_integral, check_state_cap)
 
 __all__ = [
     "MeixnerEnsembleQuery",
@@ -88,41 +86,32 @@ def meixner_weight(q, a: int, x: int) -> Fraction:
     return Fraction(math.comb(x + a, x)) * qv**x
 
 
-def _stirling2_row(r: int) -> list[int]:
-    """Stirling numbers of the second kind S(r, 0..r)."""
-    row = [1]
-    for size in range(1, r + 1):
-        prev = row
-        row = [0] * (size + 1)
-        for k in range(1, size + 1):
-            row[k] = k * (prev[k] if k < size else 0) + prev[k - 1]
-    return row
-
-
-def _exact_moment(q: Fraction, a: int, r: int) -> Fraction:
-    """Closed form of sum_{x>=0} x^r binom(x+a, x) q^x.
-
-    Applying (q d/dq)^r to the binomial series of (1-q)^-(a+1) and expanding
-    the operator in ordinary derivatives through Stirling numbers of the
-    second kind gives
-
-        mu_r = sum_k S2(r, k) q^k (a+1)^(k, rising) (1-q)^-(a+1+k).
-    """
-    s2 = _stirling2_row(r)
-    total = Fraction(0)
-    for k in range(r + 1):
-        rising = math.prod(a + 1 + t for t in range(k))
-        total += s2[k] * q**k * rising * (1 - q) ** (-(a + 1 + k))
-    return total
-
-
 def partition_function(q, m: int, n: int) -> Fraction:
-    """Exact full-lattice normalization Z_{m,n} = n! det(mu_{i+j-2})_{i,j=1..n}."""
+    """Exact full-lattice normalization Z_{m,n}, a product of Meixner norms.
+
+    With beta = m - n + 1 the monic Meixner polynomials of the weight
+    binom(x + beta - 1, x) q^x have squared norms j! (beta)_j q^j
+    (1-q)^-(beta+2j) (Koekoek, Lesky and Swarttouw, Hypergeometric
+    Orthogonal Polynomials, 2010, section 9.10), and Z is n! times their
+    product over j < n (Johansson, Comm. Math. Phys. 209, 2000).  For q = a/b
+    the product runs on integers,
+
+        Z = n! prod_j j! (beta)_j a^j b^(beta+j) / prod_j (b-a)^(beta+2j),
+
+    and is divided once.
+    """
+    if n < 1 or m < n:
+        raise ValueError(f"need m >= n >= 1, got m={m}, n={n}")
     qv = GeometricParameter.coerce(q).value
-    a = m - n
-    moments = [_exact_moment(qv, a, r) for r in range(2 * n - 1)]
-    hankel = [[moments[i + j] for j in range(n)] for i in range(n)]
-    return math.factorial(n) * bareiss_determinant(hankel)
+    a, b = qv.numerator, qv.denominator
+    beta = m - n + 1
+    pairs = n * (n - 1) // 2
+    # math.perm(beta + j - 1, j) is the rising factorial (beta)_j.
+    norms = math.prod(math.factorial(j) * math.perm(beta + j - 1, j) for j in range(n))
+    return Fraction(
+        math.factorial(n) * norms * a**pairs * b ** (n * beta + pairs),
+        (b - a) ** (n * beta + 2 * pairs),
+    )
 
 
 def _box_sum(site: list[int], n: int) -> int:
@@ -155,8 +144,8 @@ def meixner_cdf_bruteforce(mq: MeixnerEnsembleQuery) -> Fraction:
 
     The numerator visits every cell of the box (no symmetry reduction and no
     moment reduction, which keeps the implementation honest as a brute-force
-    oracle); the normalization is the closed-form moment determinant.  For
-    q = num/den and hi = eta+n-1 each site weight is scaled to the integer
+    oracle); the normalization is the closed-form product of Meixner norms.
+    For q = num/den and hi = eta+n-1 each site weight is scaled to the integer
     binom(x+a, x) num^x den^(hi-x), so the sum runs on integers and is
     divided by den^(n hi) once.  Delta^2 is built by prefix products,
     Delta(x_1..x_k)^2 = Delta(x_1..x_{k-1})^2 prod_{i<k} (x_k - x_i)^2, so

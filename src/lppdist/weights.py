@@ -16,11 +16,17 @@ repeated summation as a convolution, and a contour-integral evaluation of
 Delta^k w_m built on trapezoidal quadrature over circles.  Exact operations
 return `fractions.Fraction`; the contour route returns floats and is the
 independent cross-check used by the test suite.
+
+It is also the one module the four routes share: besides the calculus it
+holds the error types, the MEIXNER_MAX_STATES state cap (`check_state_cap`)
+that bounds every enumeration and Monte Carlo grid, and `OrderedVector`, the
+weakly increasing state of the vector chain.  No route imports another.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,9 +36,14 @@ import numpy as np
 
 __all__ = [
     "GeometricParameter",
+    "OrderedVector",
     "ContourConfig",
     "QuadratureError",
     "PrecisionLossError",
+    "StateSpaceError",
+    "MAX_STATES_ENV",
+    "DEFAULT_MAX_STATES",
+    "check_state_cap",
     "geometric_pmf",
     "neg_binomial",
     "delta_pow",
@@ -52,6 +63,42 @@ class QuadratureError(RuntimeError):
 
 class PrecisionLossError(RuntimeError):
     """Working precision cannot support the conditioning of a matrix."""
+
+
+MAX_STATES_ENV = "MEIXNER_MAX_STATES"
+DEFAULT_MAX_STATES = 5_000_000
+
+
+class StateSpaceError(RuntimeError):
+    """Requested exact enumeration exceeds the configured state cap."""
+
+
+def _state_cap() -> int:
+    raw = os.environ.get(MAX_STATES_ENV)
+    if raw is None:
+        return DEFAULT_MAX_STATES
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{MAX_STATES_ENV} must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise ValueError(f"{MAX_STATES_ENV} must be positive, got {cap}")
+    return cap
+
+
+def check_state_cap(count: int, what: str, cap: int | None = None) -> None:
+    """Raise StateSpaceError when `count` exceeds the state cap.
+
+    The cap is read from the MEIXNER_MAX_STATES environment variable (default
+    5e6) unless the caller passes the value it already read.  `count` may be
+    a running count, so the message states it as a lower bound.
+    """
+    if cap is None:
+        cap = _state_cap()
+    if count > cap:
+        raise StateSpaceError(
+            f"{what} number at least {count}, above the {MAX_STATES_ENV} cap {cap}"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,6 +139,36 @@ class GeometricParameter:
 
     def __str__(self) -> str:
         return str(self.value)
+
+
+@dataclass(frozen=True)
+class OrderedVector:
+    """A point of the ordered cone: a weakly increasing tuple of integers."""
+
+    entries: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        ent = tuple(int(e) for e in self.entries)
+        object.__setattr__(self, "entries", ent)
+        if len(ent) == 0:
+            raise ValueError("ordered vector must have at least one entry")
+        if any(a > b for a, b in zip(ent, ent[1:])):
+            raise ValueError(f"entries must be weakly increasing, got {ent}")
+
+    @classmethod
+    def coerce(cls, x: "OrderedVector | Sequence[int]") -> "OrderedVector":
+        if isinstance(x, cls):
+            return x
+        return cls(tuple(x))
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, i: int) -> int:
+        return self.entries[i]
 
 
 def _q(q) -> Fraction:

@@ -1,9 +1,9 @@
 """Ensemble route: moments, normalization, box sums, and the polynomials.
 
 The closed-form moments are bracketed by partial sums with rigorous geometric
-tail bounds, the normalization by growing boxes, and the probability values by
-the finite-difference determinant route, which shares nothing with the
-ensemble summation.
+tail bounds, the normalization by growing boxes and by the Hankel determinant
+of those moments, and the probability values by the finite-difference
+determinant route, which shares nothing with the ensemble summation.
 """
 
 import math
@@ -20,6 +20,7 @@ from lppdist import (
     MeixnerEnsembleQuery,
     PrecisionLossError,
     StateSpaceError,
+    bareiss_determinant,
     cdf_det,
     meixner_cdf_bruteforce,
     meixner_cdf_gram,
@@ -29,7 +30,34 @@ from lppdist import (
     vandermonde,
 )
 from lppdist.lpp import MAX_STATES_ENV
-from lppdist.meixner import _exact_moment
+
+
+def _stirling2_row(r: int) -> list[int]:
+    """Stirling numbers of the second kind S(r, 0..r)."""
+    row = [1]
+    for size in range(1, r + 1):
+        prev = row
+        row = [0] * (size + 1)
+        for k in range(1, size + 1):
+            row[k] = k * (prev[k] if k < size else 0) + prev[k - 1]
+    return row
+
+
+def _exact_moment(q: Fraction, a: int, r: int) -> Fraction:
+    """Closed form of sum_{x>=0} x^r binom(x+a, x) q^x.
+
+    Applying (q d/dq)^r to the binomial series of (1-q)^-(a+1) and expanding
+    the operator in ordinary derivatives through Stirling numbers of the
+    second kind gives
+
+        mu_r = sum_k S2(r, k) q^k (a+1)^(k, rising) (1-q)^-(a+1+k).
+    """
+    s2 = _stirling2_row(r)
+    total = Fraction(0)
+    for k in range(r + 1):
+        rising = math.prod(a + 1 + t for t in range(k))
+        total += s2[k] * q**k * rising * (1 - q) ** (-(a + 1 + k))
+    return total
 
 
 def moment_bracket(q, a, r, upto=220):
@@ -125,6 +153,24 @@ class TestPartitionFunction:
         box = box_numerator(q, m, n, 30)
         assert box < z
         assert (z - box) / z < Fraction(1, 10**6)
+
+    def test_equals_hankel_moment_determinant(self):
+        """Z = n! det(mu_{i+j}) by Andreief, with the moments in closed form."""
+        qs = [Fraction(1, 50), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+              Fraction(9, 10), Fraction(49, 50), Fraction(27, 107)]
+        for q in qs:
+            for n in range(1, 10):
+                for m in range(n, n + 7):
+                    moments = [_exact_moment(q, m - n, r) for r in range(2 * n - 1)]
+                    hankel = [[moments[i + j] for j in range(n)] for i in range(n)]
+                    assert partition_function(q, m, n) == (
+                        math.factorial(n) * bareiss_determinant(hankel)
+                    ), (q, m, n)
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, -1), (0, 0)])
+    def test_rejects_shapes_outside_m_ge_n_ge_1(self, m, n):
+        with pytest.raises(ValueError, match=f"need m >= n >= 1, got m={m}, n={n}"):
+            partition_function(Fraction(1, 2), m, n)
 
 
 class TestBruteforceCdf:
