@@ -3,8 +3,9 @@
 Reports are JSON Lines on stdout (one object per line, schema published as
 REPORT_SCHEMA) or CSV with --csv; diagnostics go to stderr.  Exit status is 0
 for success/agreement, 2 when a cross-check finds disagreement, 1 for usage or
-runtime errors.  The model parameter q is accepted only as an exact rational
-literal such as 1/2 or 3/10, never as a decimal.
+runtime errors and, without a traceback, when the reader closes stdout before
+the report is written.  The model parameter q is accepted only as an exact
+rational literal such as 1/2 or 3/10, never as a decimal.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from decimal import Decimal
@@ -477,9 +479,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # A report still in the buffer fails here, not at interpreter exit.
+        sys.stdout.flush()
+        return status
     except _ROUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`).  Point the descriptor at
+        # devnull so that the final flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

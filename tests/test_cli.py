@@ -422,3 +422,25 @@ def test_installed_script_runs(tmp_path):
         assert proc.returncode == cli.EXIT_USAGE
         assert proc.stdout == ""
         assert "equal length" in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
+def test_closed_stdout_is_a_quiet_exit(fmt):
+    # The read end is closed before the report is written, as `| head -c 10`
+    # does once it has its bytes, so the child's first write meets EPIPE.
+    package_root = str(Path(lppdist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    argv = [*fmt, "crosscheck", "--q", "1/2", "--m", "3", "--n", "2", "--eta", "5"]
+    proc = subprocess.Popen([sys.executable, "-m", "lppdist.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+        proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert err == ""
+    assert proc.returncode == cli.EXIT_USAGE
