@@ -5,8 +5,9 @@ Monte Carlo simulation and exact dynamic programming (`lpp`), finite
 difference determinants (`detformulas`), Meixner ensemble box sums
 (`meixner`), and biorthogonal / Fredholm contour machinery (`fredholm`).
 They share only `weights` (the scalar calculus, the state cap and the
-ordered-vector type), so agreement between them is evidence, not tautology.  The `lppdist` console script exposes the same
-evaluators plus a crosscheck harness.
+ordered-vector type), so agreement between them is evidence, not
+tautology.  The `lppdist` console script exposes the same evaluators plus a
+crosscheck harness.
 """
 
 from .weights import (
@@ -18,8 +19,6 @@ from .weights import (
     PrecisionLossError,
     QuadratureError,
     StateSpaceError,
-    adaptive_circle_integral,
-    circle_integral,
     circle_nodes,
     delta_neg_binomial,
     delta_pow,
@@ -77,8 +76,6 @@ __all__ = [
     "PrecisionLossError",
     "QuadratureError",
     "StateSpaceError",
-    "adaptive_circle_integral",
-    "circle_integral",
     "circle_nodes",
     "delta_neg_binomial",
     "delta_pow",

@@ -15,8 +15,8 @@ takes its determinant.  The brute-force numerator covers every cell of the
 box: for q = num/den it sums integer site weights scaled by
 den^(eta+n-1) and divides once, and it builds Delta^2 coordinate by
 coordinate from prefix products, so a cell costs one multiply-add.  The
-module also evaluates the underlying Meixner polynomials through their
-generating-function contour integral.
+module also evaluates the underlying Meixner polynomials exactly, by their
+three-term recurrence.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .weights import (ContourConfig, GeometricParameter, PrecisionLossError, StateSpaceError,
-                      adaptive_circle_integral, check_state_cap)
+from .weights import GeometricParameter, PrecisionLossError, StateSpaceError, check_state_cap
 
 __all__ = [
     "MeixnerEnsembleQuery",
@@ -229,16 +228,21 @@ def meixner_cdf_gram(mq: MeixnerEnsembleQuery, precision: int = 50):
         return +value
 
 
-def meixner_poly(q, beta: int, j: int, x: int, cfg: ContourConfig | None = None) -> float:
-    """Meixner polynomial value p_j(x) for the weight binom(x+beta-1, x) q^x.
+def meixner_poly(q, beta: int, j: int, x: int) -> float:
+    """Meixner polynomial value p_j(x) = (beta)_j M_j(x; beta, q), rounded once.
 
-    Evaluated through the generating-function coefficient extraction
+    The polynomials of the weight binom(x+beta-1, x) q^x, normalized by
+    p_0 = 1, satisfy the three-term recurrence (Koekoek, Lesky and
+    Swarttouw, Hypergeometric Orthogonal Polynomials, 2010, section 9.10)
 
-        p_j(x) = (j! / 2 pi i) oint (1 - z/q)^x (1 - z)^-(x+beta) z^-(j+1) dz
+        q p_{k+1} = ((q-1) x + k + (k+beta) q) p_k - k (k+beta-1) p_{k-1}.
 
-    on a circle of radius 1/2 (any radius inside the unit disk works: the
-    integrand is analytic in the punctured disk).  Normalization is fixed by
-    p_0 = 1; orthogonality w.r.t. the weight holds up to constants.
+    For q = a/b it runs exactly on the integers P_k = a^k p_k,
+
+        P_{k+1} = ((a-b) x + k b + (k+beta) a) P_k - a b k (k+beta-1) P_{k-1},
+
+    and P_j / a^j is rounded to the nearest float once.  Raises
+    PrecisionLossError when that value lies outside the float range.
     """
     if beta < 1:
         raise ValueError(f"weight parameter must be >= 1, got {beta}")
@@ -246,11 +250,13 @@ def meixner_poly(q, beta: int, j: int, x: int, cfg: ContourConfig | None = None)
         raise ValueError(f"degree must be >= 0, got {j}")
     if x < 0:
         raise ValueError(f"argument must be >= 0, got {x}")
-    qf = float(GeometricParameter.coerce(q))
-    nodes = cfg.nodes if cfg is not None else 256
-
-    def integrand(z):
-        return (1 - z / qf) ** x / ((1 - z) ** (x + beta) * z ** (j + 1))
-
-    val = adaptive_circle_integral(integrand, 0.5, nodes)
-    return math.factorial(j) * float(val.real)
+    qv = GeometricParameter.coerce(q).value
+    a, b = qv.numerator, qv.denominator
+    prev, cur = 0, 1
+    for k in range(j):
+        step = ((a - b) * x + k * b + (k + beta) * a) * cur
+        prev, cur = cur, step - a * b * k * (k + beta - 1) * prev
+    try:
+        return cur / a**j
+    except OverflowError as exc:
+        raise PrecisionLossError(f"Meixner value p_{j}({x}) is outside the float range") from exc

@@ -51,9 +51,7 @@ __all__ = [
     "heaviside_conv_pow",
     "delta_w_contour",
     "circle_nodes",
-    "circle_integral",
     "adaptive_batch",
-    "adaptive_circle_integral",
 ]
 
 
@@ -328,27 +326,15 @@ def circle_nodes(radius: float, count: int) -> np.ndarray:
     return radius * _unit_roots(count)
 
 
-def circle_integral(
-    integrand: Callable[[np.ndarray], np.ndarray], radius: float, nodes: int
-) -> np.ndarray | complex:
-    """(1/2 pi i) times the contour integral over |z| = radius, N-point trapezoidal rule.
-
-    The integrand is called once on the full node array and may return extra
-    leading axes (batched evaluation); the node axis must come last.  For
-    integrands analytic in an annulus around the circle the rule converges
-    geometrically in N.
-    """
-    z = circle_nodes(radius, nodes)
-    return np.mean(integrand(z) * z, axis=-1)
-
-
+#: Relative agreement of two refinements that stops the doubling loop.
+TOLERANCE = 1e-12
 #: Roundoff allowance per unit of summand magnitude in the stopping rules.
 ROUNDOFF = 64 * np.finfo(float).eps
 #: Largest node count the doubling loop tries before giving up.
 MAX_NODES = 8192
 
 
-def adaptive_batch(evaluate, start_nodes: int, tol: float = 1e-12, cap: int = MAX_NODES):
+def adaptive_batch(evaluate, start_nodes: int):
     """Double the node count until two refinements of a batched integral agree.
 
     `evaluate` maps a node count to (values, summand_scale) with the scale
@@ -356,55 +342,37 @@ def adaptive_batch(evaluate, start_nodes: int, tol: float = 1e-12, cap: int = MA
     its own magnitude or down to the roundoff floor of its trapezoidal sum,
     whichever is coarser.  Elements whose summands grow like radius^x while
     their true value stays polynomial cannot beat that floor, and for them
-    the floor is the honest stopping point.  Raises QuadratureError when the
-    cap is reached without agreement.
+    the floor is the honest stopping point.  Raises QuadratureError when
+    MAX_NODES is reached without agreement.
     """
     prev, _ = evaluate(start_nodes)
     count = 2 * start_nodes
-    while count <= cap:
+    while count <= MAX_NODES:
         cur, summand = evaluate(count)
-        allowed = np.maximum(tol * np.maximum(1.0, np.abs(cur)), ROUNDOFF * summand)
+        allowed = np.maximum(TOLERANCE * np.maximum(1.0, np.abs(cur)), ROUNDOFF * summand)
         if np.all(np.abs(cur - prev) <= allowed):
             return cur
         prev = cur
         count *= 2
-    raise QuadratureError(f"batched contour quadrature did not stabilize within {cap} nodes")
+    raise QuadratureError(f"batched contour quadrature did not stabilize within {MAX_NODES} nodes")
 
 
-def adaptive_circle_integral(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    radius: float,
-    nodes: int = 256,
-    tol: float = 1e-12,
-    cap: int = MAX_NODES,
-) -> np.ndarray | complex:
-    """`circle_integral` with the node count doubled by `adaptive_batch`.
-
-    Each element of a batched integrand converges on its own, against the
-    largest magnitude of its own summands.
-    """
-
-    def evaluate(count: int):
-        z = circle_nodes(radius, count)
-        terms = integrand(z) * z
-        return np.mean(terms, axis=-1), np.max(np.abs(terms), axis=-1)
-
-    return adaptive_batch(evaluate, nodes, tol, cap)
-
-
-def delta_w_contour(q, m: int, k: int, x: int, cfg: ContourConfig | None = None,
-                    tol: float = 1e-12) -> float:
+def delta_w_contour(q, m: int, k: int, x: int, cfg: ContourConfig | None = None) -> float:
     """Contour evaluation of Delta^k w_m(x).
 
     Represents the difference power as
 
         Delta^k w_m(x) = (1-q)^m /(2 pi i) oint (1-z)^k / ((1-qz)^m z^(x+k+1)) dz
 
-    over a circle around the origin.  For k >= 0 the integrand has poles only
-    at 0 and 1/q and the configured inner radius r2 < 1/q is used; for k < 0
-    the factor (1-z)^k adds a pole at z = 1, so the integration circle must
-    stay inside the unit disk and a dedicated radius min(0.9, (1+q)/2) < 1
-    overrides cfg.r2.
+    over a circle around the origin, by the trapezoidal rule doubled in
+    `adaptive_batch`.  For k >= 0 the integrand has poles only at 0 and 1/q
+    and the configured inner radius r2 < 1/q is used; for k < 0 the factor
+    (1-z)^k adds a pole at z = 1, so the integration circle must stay inside
+    the unit disk and a dedicated radius min(0.9, (1+q)/2) < 1 overrides
+    cfg.r2.  Raises PrecisionLossError when a summand leaves the float range,
+    or when the roundoff floor of the converged sum, ROUNDOFF (1-q)^m times
+    its largest summand, exceeds 1e-8 max(1, |value|): for k < 0 the summands
+    grow like radius^-x while the value stays bounded.
     """
     if m < 1:
         raise ValueError(f"convolution power m must be >= 1, got {m}")
@@ -416,9 +384,26 @@ def delta_w_contour(q, m: int, k: int, x: int, cfg: ContourConfig | None = None,
         radius = cfg.r2
     else:
         radius = min(0.9, (1.0 + qf) / 2.0)
+    scale = 0.0
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        return (1 - z) ** k / ((1 - qf * z) ** m * z ** (x + k + 1))
+    def evaluate(count: int):
+        nonlocal scale
+        z = circle_nodes(radius, count)
+        terms = (1 - z) ** k / ((1 - qf * z) ** m * z ** (x + k + 1)) * z
+        scale = np.max(np.abs(terms))
+        return np.mean(terms), scale
 
-    val = adaptive_circle_integral(integrand, radius, cfg.nodes, tol=tol)
-    return (1.0 - qf) ** m * float(np.real(val))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            val = adaptive_batch(evaluate, cfg.nodes)
+        except FloatingPointError as exc:
+            raise PrecisionLossError(
+                f"contour summands for Delta^{k} w_{m}({x}) leave the float range"
+            ) from exc
+    weight = (1.0 - qf) ** m
+    value = weight * float(np.real(val))
+    if ROUNDOFF * weight * scale > 1e-8 * max(1.0, abs(value)):
+        raise PrecisionLossError(
+            f"roundoff floor of the contour sum for Delta^{k} w_{m}({x}) exceeds 1e-8"
+        )
+    return value

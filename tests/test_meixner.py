@@ -289,6 +289,16 @@ class TestGramCdf:
             meixner_cdf_gram(query)
 
 
+def hypergeometric_poly(q, beta, j, x):
+    """(beta)_j 2F1(-j, -x; beta; 1 - 1/q), the Meixner value p_j(x), summed on Fractions."""
+    z = 1 - 1 / Fraction(q)
+    total, term = Fraction(0), Fraction(1)
+    for k in range(min(j, x) + 1):
+        total += term
+        term *= Fraction((k - j) * (k - x), (beta + k) * (k + 1)) * z
+    return math.prod(range(beta, beta + j)) * total
+
+
 class TestMeixnerPoly:
     def test_degree_zero_is_one(self):
         q = Fraction(1, 2)
@@ -321,6 +331,24 @@ class TestMeixnerPoly:
             cross += pi * pj * rho
             norm += pj * pj * rho
         assert abs(cross) < 1e-7 * max(1.0, norm)
+
+    @pytest.mark.parametrize(
+        "q, beta, j, x",
+        # The first three are values whose generating-function summands
+        # outgrow them: a float contour integral returns -5.08e9 for 38606
+        # and 3.74e9 for 1.38e9.
+        [(Fraction(1, 2), 2, 2, 200), (Fraction(1, 3), 1, 4, 100), (Fraction(9, 10), 1, 40, 500)]
+        + list(product(
+            (Fraction(1, 3), Fraction(2, 3), Fraction(27, 107)), (1, 5), (1, 3, 7), (0, 4, 30)
+        )),
+        ids=str,
+    )
+    def test_equals_the_rounded_hypergeometric_sum(self, q, beta, j, x):
+        assert meixner_poly(q, beta, j, x) == float(hypergeometric_poly(q, beta, j, x))
+
+    def test_value_outside_the_float_range_is_precision_loss(self):
+        with pytest.raises(PrecisionLossError, match="float range"):
+            meixner_poly(Fraction(27, 107), 5, 200, 1000)
 
     def test_argument_validation(self):
         q = Fraction(1, 2)

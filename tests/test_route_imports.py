@@ -3,7 +3,8 @@
 Each route module is parsed, not imported, and every import statement in it
 is resolved to a module name.  Any module of the package other than `weights`
 would let one route lean on another, and agreement between them would stop
-being independent evidence.
+being independent evidence.  The Meixner route also imports no contour
+quadrature: its polynomials come from their exact recurrence.
 """
 
 import ast
@@ -13,6 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lppdist"
 ROUTES = ("lpp", "detformulas", "meixner", "fredholm")
+QUADRATURE = {"ContourConfig", "adaptive_batch", "circle_nodes", "delta_w_contour"}
 SIBLINGS = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 
 
@@ -38,6 +40,17 @@ def package_imports(source: str) -> set[str]:
 def test_route_imports_only_weights(route):
     source = (PACKAGE / f"{route}.py").read_text()
     assert package_imports(source) <= {"weights"}
+
+
+def test_meixner_imports_no_quadrature():
+    tree = ast.parse((PACKAGE / "meixner.py").read_text())
+    imported = {
+        alias.name.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert imported & QUADRATURE == set()
 
 
 def test_resolver_sees_every_import_form():

@@ -6,6 +6,7 @@ code with the implementations they check.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,9 @@ from conftest import CONTOUR_TOL, Q_CANON
 from lppdist import (
     ContourConfig,
     GeometricParameter,
+    PrecisionLossError,
     QuadratureError,
-    adaptive_circle_integral,
-    circle_integral,
+    circle_nodes,
     delta_neg_binomial,
     delta_pow,
     delta_w_contour,
@@ -26,6 +27,7 @@ from lppdist import (
     heaviside_conv_pow,
     neg_binomial,
 )
+from lppdist.weights import adaptive_batch
 
 
 def conv(a, b):
@@ -236,34 +238,49 @@ class TestDeltaNegBinomial:
         assert value == oracle
 
 
+def circle_evaluate(integrand, radius):
+    """(1/2 pi i) times the contour integral over |z| = radius, as `adaptive_batch` input.
+
+    Maps a node count to the trapezoidal mean of integrand(z) z and the
+    largest summand magnitude, both over the last (node) axis.
+    """
+
+    def evaluate(count):
+        z = circle_nodes(radius, count)
+        terms = integrand(z) * z
+        return np.mean(terms, axis=-1), np.max(np.abs(terms), axis=-1)
+
+    return evaluate
+
+
 class TestCircleQuadrature:
     def test_monomials_integrate_to_residue(self):
         for k in range(-3, 4):
-            val = circle_integral(lambda z, k=k: z**k, 1.3, 64)
+            val, _ = circle_evaluate(lambda z, k=k: z**k, 1.3)(64)
             expect = 1.0 if k == -1 else 0.0
             assert abs(val - expect) < 1e-13
 
     def test_adaptive_matches_known_pole(self):
         # 1/(z - a) with |a| < radius integrates to 1.
-        val = adaptive_circle_integral(lambda z: 1.0 / (z - 0.4), 1.1, nodes=16)
+        val = adaptive_batch(circle_evaluate(lambda z: 1.0 / (z - 0.4), 1.1), 16)
         assert abs(val - 1.0) < 1e-12
 
     def test_adaptive_raises_on_singular_node(self):
         # A pole sitting exactly on the contour never stabilizes.
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(QuadratureError):
-            adaptive_circle_integral(lambda z: 1.0 / (z - 1.1), 1.1, nodes=16, cap=256)
+            adaptive_batch(circle_evaluate(lambda z: 1.0 / (z - 1.1), 1.1), 16)
 
     def test_batched_elements_converge_on_their_own_scale(self):
         # A huge constant element must not loosen the stopping rule of a
         # small element whose pole sits close to the contour.
-        vals = adaptive_circle_integral(
-            lambda z: np.stack([1e10 / z, 1.0 / (z - 0.97)]), 1.0, nodes=32
+        vals = adaptive_batch(
+            circle_evaluate(lambda z: np.stack([1e10 / z, 1.0 / (z - 0.97)]), 1.0), 32
         )
         assert abs(vals[1] - 1.0) < 1e-12
 
     def test_batched_integrand_axes(self):
         exps = np.arange(-2, 2)[:, None]
-        vals = adaptive_circle_integral(lambda z: z[None, :] ** exps, 1.2, nodes=32)
+        vals = adaptive_batch(circle_evaluate(lambda z: z[None, :] ** exps, 1.2), 32)
         assert vals.shape == (4,)
         assert np.allclose(vals, [0, 1, 0, 0], atol=1e-12)
 
@@ -292,3 +309,23 @@ class TestDeltaContour:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             delta_w_contour(Fraction(1, 2), 0, 1, 4)
+
+    @pytest.mark.parametrize("x", [100, 800])
+    def test_refuses_a_sum_lost_in_its_roundoff_floor(self, x):
+        # For k < 0 the summands grow like radius^-x while Delta^-1 w_2(x)
+        # stays near 1, so a converged sum of them (0.99873 at x = 100,
+        # -7.36e83 at x = 800) carries no correct digits.
+        assert float(delta_neg_binomial(Fraction(1, 2), 2, -1, x)) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PrecisionLossError, match="roundoff floor"):
+                delta_w_contour(Fraction(1, 2), 2, -1, x)
+
+    @pytest.mark.parametrize("k, x", [(-1, 3000), (2, 5000)])
+    def test_refuses_summands_outside_the_float_range(self, k, x):
+        # radius^(x+k+1) underflows (k < 0, radius < 1) or overflows
+        # (k >= 0, radius > 1).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PrecisionLossError, match="float range"):
+                delta_w_contour(Fraction(1, 2), 2, k, x)
