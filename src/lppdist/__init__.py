@@ -18,14 +18,17 @@ from .weights import (
     OrderedVector,
     PrecisionLossError,
     QuadratureError,
+    SingularMinorError,
     StateSpaceError,
     circle_nodes,
     delta_neg_binomial,
+    delta_neg_binomial_orders,
     delta_pow,
     delta_w_contour,
     geometric_pmf,
     heaviside_conv_pow,
     neg_binomial,
+    toeplitz_determinant,
 )
 from .lpp import (
     WeightGrid,
@@ -75,14 +78,17 @@ __all__ = [
     "OrderedVector",
     "PrecisionLossError",
     "QuadratureError",
+    "SingularMinorError",
     "StateSpaceError",
     "circle_nodes",
     "delta_neg_binomial",
+    "delta_neg_binomial_orders",
     "delta_pow",
     "delta_w_contour",
     "geometric_pmf",
     "heaviside_conv_pow",
     "neg_binomial",
+    "toeplitz_determinant",
     "WeightGrid",
     "exact_cdf_dp",
     "last_passage",

@@ -80,6 +80,22 @@ _SECTION_CAP = 2048
 #: Bytes of contour transforms kept across calls, over all entries.
 _MEMO_BUDGET = 8 * 2**20
 
+#: Absolute tolerance the float routes declare; a probability further than
+#: this outside [0, 1] cannot be within it of the true value.
+_RANGE_SLACK = 1e-8
+
+
+def _probability(value: float, what: str) -> float:
+    """value, or PrecisionLossError when it lies further than _RANGE_SLACK outside [0, 1].
+
+    A value that is not a finite float fails the same test.
+    """
+    if not -_RANGE_SLACK <= value <= 1.0 + _RANGE_SLACK:
+        raise PrecisionLossError(
+            f"{what} is {value:.17g}, outside [0, 1] by more than {_RANGE_SLACK}"
+        )
+    return value
+
 
 class _TransformMemo:
     """Least-recently-used memo of contour transforms, bounded in bytes.
@@ -294,18 +310,15 @@ def cdf_biorth(spec: KernelSpec, eta: int) -> float:
     """P[G(m, n) <= eta] as the determinant of the pairing truncated at eta + n.
 
     Raises PrecisionLossError when the pairing cannot be scaled in floats or
-    its determinant is not finite.
+    its determinant lies further than the declared tolerance 1e-8 outside
+    [0, 1], which an infinite or NaN determinant does too.
     """
     if eta < 0:
         return 0.0
     pairing = biorthogonal_pairing(spec, eta + spec.n)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(np.linalg.det(pairing))
-    if not math.isfinite(value):
-        raise PrecisionLossError(
-            f"biorthogonal pairing determinant is {value} at n = {spec.n}, eta = {eta}"
-        )
-    return value
+    return _probability(value, f"biorthogonal pairing determinant at n = {spec.n}, eta = {eta}")
 
 
 def _series_terms(spec: KernelSpec) -> int:
@@ -420,7 +433,8 @@ def _section_factors(spec: KernelSpec, eta: int, size: int) -> tuple[np.ndarray,
     Without that weight the far tail of one factor, which wraps around the
     N nodes until N covers the window, holds the doubling back although its
     products with the other factor are negligible.  The cost is
-    O(N log N + size + P) per node count N.
+    O(N log N + size + P) per node count N.  An overflow while the factors
+    are built raises PrecisionLossError.
     """
     c = math.sqrt(spec.cfg.r2 * spec.cfg.r1)
     length = size - 1 + _series_terms(spec)
@@ -438,7 +452,13 @@ def _section_factors(spec: KernelSpec, eta: int, size: int) -> tuple[np.ndarray,
         values = np.concatenate([f * f_weight, g * g_weight])
         return values, np.concatenate([decay * fmax * f_weight, decay * gmax * g_weight])
 
-    _adaptive_batch(evaluate, spec.cfg.nodes)
+    with np.errstate(over="raise"):
+        try:
+            _adaptive_batch(evaluate, spec.cfg.nodes)
+        except FloatingPointError as exc:
+            raise PrecisionLossError(
+                f"Fredholm section factors at eta = {eta} leave the float range"
+            ) from exc
     return factors["f"], factors["g"]
 
 
@@ -538,7 +558,8 @@ def cdf_fredholm(
     reaches a second size to compare with the first.  Only the derivation
     variant is accepted unless `allow_printed` is set; the printed variant
     exists for adjudication runs and is known to evaluate to the wrong
-    distribution when m != n.
+    distribution when m != n.  A converged value further than the declared
+    tolerance 1e-8 outside [0, 1] raises PrecisionLossError.
     """
     if eta < 0:
         raise ValueError(f"threshold must be >= 0, got {eta}")
@@ -559,7 +580,7 @@ def cdf_fredholm(
         block.flat[:: block.shape[0] + 1] += 1.0
         value = float(np.linalg.det(block))
         if prev is not None and abs(value - prev) < tol:
-            return value, value - prev
+            return _probability(value, f"Fredholm determinant at eta = {eta}"), value - prev
         if size >= _SECTION_CAP:
             raise QuadratureError(
                 f"Fredholm section did not stabilize to {tol} within size {_SECTION_CAP}"

@@ -19,8 +19,11 @@ independent cross-check used by the test suite.
 
 It is also the one module the four routes share: besides the calculus it
 holds the error types, the MEIXNER_MAX_STATES state cap (`check_state_cap`)
-that bounds every enumeration and Monte Carlo grid, and `OrderedVector`, the
-weakly increasing state of the vector chain.  No route imports another.
+that bounds every enumeration and Monte Carlo grid, `OrderedVector`, the
+weakly increasing state of the vector chain, and `toeplitz_determinant`, an
+exact determinant of an integer Toeplitz matrix by the Levinson recursion
+modulo primes and the Chinese remainder theorem, which knows nothing of the
+routes.  No route imports another.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +45,7 @@ __all__ = [
     "QuadratureError",
     "PrecisionLossError",
     "StateSpaceError",
+    "SingularMinorError",
     "MAX_STATES_ENV",
     "DEFAULT_MAX_STATES",
     "check_state_cap",
@@ -48,10 +53,12 @@ __all__ = [
     "neg_binomial",
     "delta_pow",
     "delta_neg_binomial",
+    "delta_neg_binomial_orders",
     "heaviside_conv_pow",
     "delta_w_contour",
     "circle_nodes",
     "adaptive_batch",
+    "toeplitz_determinant",
 ]
 
 
@@ -69,6 +76,10 @@ DEFAULT_MAX_STATES = 5_000_000
 
 class StateSpaceError(RuntimeError):
     """Requested exact enumeration exceeds the configured state cap."""
+
+
+class SingularMinorError(ArithmeticError):
+    """A leading minor of a Toeplitz matrix, below its full size, is zero over Q."""
 
 
 def _state_cap() -> int:
@@ -309,6 +320,50 @@ def delta_neg_binomial(q, m: int, k: int, x: int) -> Fraction:
     return Fraction((b - a) ** m * total, b ** (m + top))
 
 
+def delta_neg_binomial_orders(q, m: int, x: int, low: int, high: int) -> tuple[list[int], Fraction]:
+    """Delta^k w_m(x) for every k in [low, high], as integers over one scale.
+
+    Returns (values, scale) with Delta^k w_m(x) = scale * values[k - low].
+    For q = a/b and top = max(x, x + high), the values are those of
+    `delta_neg_binomial` over the one power b^(m + top), scale =
+    (b-a)^m / b^(m + top), so no value is reduced on its own.  Negative
+    orders share one table: pass j of the exclusive prefix sum over
+    binom(t+m-1, t) a^t b^(top-t), t <= x, holds Delta^-j at every point,
+    and order -j is its entry at x.  Nonnegative orders are the leading
+    entries of one forward-difference table over t = x .. x + high.
+    """
+    if m < 1:
+        raise ValueError(f"convolution power m must be >= 1, got {m}")
+    if x < 0 or low > high:
+        raise ValueError(f"need x >= 0 and low <= high, got x={x}, low={low}, high={high}")
+    qv = _q(q)
+    a, b = qv.numerator, qv.denominator
+    top = max(x, x + high)
+    b_powers = [1]
+    for _ in range(top):
+        b_powers.append(b_powers[-1] * b)
+    scaled, binom, a_power = [], 1, 1
+    for t in range(top + 1):
+        scaled.append(binom * a_power * b_powers[top - t])
+        binom = binom * (t + m) // (t + 1)
+        a_power *= a
+    values = []
+    if low < 0:
+        passes = scaled[: x + 1]
+        negative = []
+        for _ in range(-low):
+            passes = [0, *accumulate(passes[:-1])]
+            negative.append(passes[-1])
+        values = negative[max(-high, 1) - 1:][::-1]
+    if high >= 0:
+        row = scaled[x:]
+        for k in range(high + 1):
+            if k >= low:
+                values.append(row[0])
+            row = [right - left for left, right in zip(row, row[1:])]
+    return values, Fraction((b - a) ** m, b ** (m + top))
+
+
 @lru_cache(maxsize=32)
 def _unit_roots(count: int) -> np.ndarray:
     """The count-th roots of unity omega^k, built once per node count and read-only."""
@@ -407,3 +462,226 @@ def delta_w_contour(q, m: int, k: int, x: int, cfg: ContourConfig | None = None)
             f"roundoff floor of the contour sum for Delta^{k} w_{m}({x}) exceeds 1e-8"
         )
     return value
+
+
+#: Primes come from just below 2^30, so Python reduces a big integer by one
+#: in a single-digit pass.  A product of two residues stays below 2^60, so a
+#: sum or difference of two products still fits in an int64.
+_PRIME_TOP = 1 << 30
+#: Every prime used exceeds 2^_PRIME_BITS; the prime counts rely on it.
+_PRIME_BITS = 29
+#: Width of one sieved segment of integers below _PRIME_TOP (about 3000 primes).
+_SEGMENT = 1 << 16
+#: Bytes of one integer reduced per float matrix product: a byte times a
+#: residue is below 2^38, so a sum of this many stays exact in a float64.
+_LIMB_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=1)
+def _sieving_primes() -> tuple[int, ...]:
+    """The primes up to sqrt(2^30), which sieve every segment below 2^30."""
+    limit = math.isqrt(_PRIME_TOP) + 1
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    return tuple(np.flatnonzero(sieve).tolist())
+
+
+@lru_cache(maxsize=4)
+def _prime_segment(index: int) -> np.ndarray:
+    """The primes of segment `index` below 2^30, largest first, read-only."""
+    low = _PRIME_TOP - (index + 1) * _SEGMENT
+    if low <= 1 << _PRIME_BITS:
+        raise StateSpaceError(f"more primes asked for than lie in (2^{_PRIME_BITS}, 2^30)")
+    sieve = np.ones(_SEGMENT, dtype=bool)
+    for p in _sieving_primes():
+        sieve[-low % p::p] = False
+    primes = low + np.flatnonzero(sieve)[::-1]
+    primes.flags.writeable = False
+    return primes
+
+
+def _primes(start: int, count: int) -> np.ndarray:
+    """Primes number start .. start + count - 1 of the primes below 2^30, largest first.
+
+    Segments are sieved on demand and at most four are kept, so importing
+    the module builds no table and the kept primes stay under 100 KB.
+    """
+    parts, seen, index = [], 0, 0
+    while seen < start + count:
+        segment = _prime_segment(index)
+        lo, hi = max(start - seen, 0), min(start + count - seen, segment.size)
+        if lo < hi:
+            parts.append(segment[lo:hi])
+        seen += segment.size
+        index += 1
+    return np.concatenate(parts).astype(np.int64)
+
+
+def _hadamard_bits(symbol: Sequence[int], n: int) -> int:
+    """h with every leading minor of the Toeplitz matrix at most 2^h in absolute value.
+
+    Row i holds t_-i .. t_(n-1-i).  Hadamard's inequality bounds a leading
+    k x k minor by the product of its rows' norms, each at most its full
+    row's norm, or 1 for a zero row; a norm is below 2^ceil(bits / 2) of
+    its square.
+    """
+    squares = [0, *accumulate(t * t for t in symbol)]
+    return sum((squares[2 * n - 1 - i] - squares[n - 1 - i]).bit_length() + 1 >> 1
+               for i in range(n))
+
+
+def _residues(values: Sequence[int], primes: np.ndarray) -> np.ndarray:
+    """values modulo each prime, shape (primes, values).
+
+    Each |value| is split into little-endian bytes; with the table of
+    256^i mod p, a block of bytes reduces by one float matrix product whose
+    sums stay below 2^53, so they are exact.
+    """
+    size = max(v.bit_length() for v in values) // 8 + 1
+    raw = b"".join(abs(v).to_bytes(size, "little") for v in values)
+    digits = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), size)
+    powers = np.empty((size, primes.size), dtype=np.int64)
+    powers[0] = 1
+    step, filled = np.full(primes.size, 256, dtype=np.int64), 1
+    while filled < size:
+        more = min(filled, size - filled)
+        powers[filled:filled + more] = powers[:more] * step % primes
+        step = step * step % primes
+        filled += more
+    out = np.zeros((primes.size, len(values)), dtype=np.int64)
+    for lo in range(0, size, _LIMB_BLOCK):
+        block = powers[lo:lo + _LIMB_BLOCK].astype(float).T @ digits[:, lo:lo + _LIMB_BLOCK].T
+        out += block.astype(np.int64) % primes[:, None]
+    negative = np.array([v < 0 for v in values])
+    out[:, negative] = -out[:, negative]
+    return out % primes[:, None]
+
+
+def _levinson_residues(t: np.ndarray, primes: np.ndarray):
+    """Toeplitz determinant modulo each prime by the Levinson recursion.
+
+    Row r of `t` holds the symbol t_-(n-1) .. t_(n-1) modulo primes[r];
+    every prime is one row of each array, so one step serves all of them.
+    The recursion is the non-symmetric one of Trench (J. SIAM 12, 1964) and
+    Zohar (J. ACM 21, 1974) without divisions: T_k F = s e_1 and T_k G =
+    s e_k with F_0 = G_(k-1) = phi, and with E_f, E_g the entries of
+    T_(k+1) [F; 0] and T_(k+1) [0; G] that fall outside T_k,
+
+        F <- s [F; 0] - E_f [0; G],   G <- s [0; G] - E_g [F; 0],
+        s <- s^2 - E_f E_g,           phi <- s phi,
+
+    so the k-th leading minor is D_k = D_(k-1) s_k / phi_k.  Returns
+    (num, den, first_zero): D_n = num / den modulo each prime, and the
+    smallest k < n with D_k = 0 modulo that prime, or n when none is; a
+    row with first_zero < n holds no determinant.  Every product is of two
+    residues below 2^30 and is reduced before it is summed.
+    """
+    rows, width = t.shape
+    n = (width + 1) // 2
+    p = primes[:, None]
+    f = np.zeros((rows, n), dtype=np.int64)
+    g = np.zeros((rows, n + 1), dtype=np.int64)  # g[:, 1:] holds G, so g[:, :k+1] is [0; G]
+    f[:, 0] = g[:, 1] = 1
+    s = t[:, n - 1].copy()
+    phi = np.ones(rows, dtype=np.int64)
+    num, den = s.copy(), phi.copy()
+    pivots = [s]
+    for k in range(1, n):
+        fk, gk = f[:, :k + 1], g[:, :k + 1]  # [F; 0] and [0; G]
+        e_f = (t[:, n - 1 - k:n - 1] * fk[:, :k] % p).sum(axis=1) % primes
+        e_g = (t[:, n:n + k] * gk[:, 1:] % p).sum(axis=1) % primes
+        f_next = s[:, None] * fk - e_f[:, None] * gk
+        g_next = s[:, None] * gk - e_g[:, None] * fk
+        np.remainder(f_next, p, out=fk)
+        np.remainder(g_next, p, out=g[:, 1:k + 2])
+        phi = phi * s % primes
+        den = den * phi % primes
+        s = (s * s - e_f * e_g % primes) % primes
+        num = num * s % primes
+        pivots.append(s)
+    pivots[-1] = np.zeros(rows, dtype=np.int64)  # D_n may vanish; this stops the search at n
+    first_zero = (np.array(pivots) == 0).argmax(axis=0) + 1
+    return num, den, first_zero
+
+
+def _crt(num: list[int], den: list[int], primes: list[int]) -> int:
+    """The x with |x| < M/2 and x den_i = num_i modulo each prime, M their product.
+
+    With u_i = (M / p_i) mod p_i, x = sum_i w_i M / p_i modulo M for
+    w_i = num_i / (den_i u_i) mod p_i: one modular inverse per prime.  Both
+    walk a product tree of the primes.  Down the tree, the cofactor M / N
+    modulo a node N is its parent's times its sibling; at a leaf it is u_i.
+    Up the tree, each node combines its halves as V_L M_R + V_R M_L.
+    """
+    tree = [primes]
+    while len(tree[-1]) > 1:
+        level = tree[-1]
+        tree.append([a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:])
+    cofactors = [1]
+    for level in tree[-2::-1]:
+        below = []
+        for i, c in enumerate(cofactors):
+            if 2 * i + 1 < len(level):
+                left, right = level[2 * i], level[2 * i + 1]
+                below += [c * right % left, c * left % right]
+            else:
+                below.append(c)
+        cofactors = below
+    values = [r * pow(d * u % p, -1, p) % p for r, d, u, p in zip(num, den, cofactors, primes)]
+    for level in tree[:-1]:
+        values = [va * mb + vb * ma for va, vb, ma, mb in
+                  zip(values[::2], values[1::2], level[::2], level[1::2])] + values[len(level) & ~1:]
+    modulus = tree[-1][0]
+    x = values[0] % modulus
+    return x - modulus if 2 * x > modulus else x
+
+
+def toeplitz_determinant(symbol: Sequence[int]) -> int:
+    """Exact determinant of the n x n Toeplitz matrix T[i][j] = t_(j-i).
+
+    `symbol` lists the integers t_-(n-1) .. t_(n-1).  The determinant is
+    taken modulo primes just below 2^30 by the Levinson recursion
+    (`_levinson_residues`), O(n^2) word operations per prime, and rebuilt
+    by the Chinese remainder theorem (`_crt`).  The primes number enough
+    for their product to exceed twice the Hadamard bound of the matrix, and
+    one spare prime more checks the result.  A prime at which a leading
+    minor below the full size vanishes is dropped and replaced; when one
+    minor vanishes at primes whose product exceeds the Hadamard bound, it
+    is zero over Q and SingularMinorError is raised.  The primes times the
+    2n - 1 residues of each are charged to the MEIXNER_MAX_STATES cap
+    before any array is built.  Raises ArithmeticError when the spare prime
+    disagrees, which exact arithmetic rules out.
+    """
+    symbol = [int(t) for t in symbol]
+    width = len(symbol)
+    if width % 2 == 0:
+        raise ValueError(f"a Toeplitz symbol has 2n - 1 entries, got {width}")
+    n = (width + 1) // 2
+    bits = _hadamard_bits(symbol, n)
+    count = (bits + 1) // _PRIME_BITS + 1
+    check_state_cap((count + 1) * width, f"Toeplitz residues for n={n}")
+    kept_primes, kept_num, kept_den = [], [], []
+    misses = np.zeros(n + 1, dtype=np.int64)
+    drawn, need = 0, count + 1
+    while need:
+        primes = _primes(drawn, need)
+        drawn += need
+        num, den, first_zero = _levinson_residues(_residues(symbol, primes), primes)
+        good = first_zero == n
+        kept_primes += primes[good].tolist()
+        kept_num += num[good].tolist()
+        kept_den += den[good].tolist()
+        misses += np.bincount(first_zero[~good], minlength=n + 1)
+        zero = np.flatnonzero((misses > 0) & (_PRIME_BITS * misses >= bits))
+        if zero.size:
+            raise SingularMinorError(
+                f"leading {zero[0]}x{zero[0]} minor of a {n}x{n} Toeplitz matrix is zero")
+        need -= int(good.sum())
+    x = _crt(kept_num[:count], kept_den[:count], kept_primes[:count])
+    spare = kept_primes[count]
+    if (x * kept_den[count] - kept_num[count]) % spare:
+        raise ArithmeticError(f"Toeplitz determinant fails its check modulo the spare prime {spare}")
+    return x
