@@ -12,12 +12,14 @@ and summing the same structure gives the one-point distribution function
 
 Both evaluate in two scalar layers: exact rationals, and floats through
 LAPACK's LU factorization.  The exact layer runs a fraction-free Bareiss
-elimination, except on the distribution function's matrix from n =
-TOEPLITZ_MIN_N on: entry (i, j) depends on j - i alone, so that matrix is
-Toeplitz, and `toeplitz_determinant` takes its determinant in O(n^2) word
-operations per prime.  The two-point joint distribution sums, over
-intermediate states, a transition determinant times a summed one, and is an
-exactly rational finite sum.
+elimination, except on the distribution function's matrix: entry (i, j)
+depends on j - i alone, so that matrix is Toeplitz, and
+`toeplitz_determinant` takes its determinant in O(n^2) word operations per
+prime.  Its leading k x k block is the matrix of the narrower grid (m, k,
+eta), so every leading minor is a positive probability and the Levinson
+recursion never meets a zero one.  The two-point joint distribution sums,
+over intermediate states, a transition determinant times a summed one, and
+is an exactly rational finite sum.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .weights import (GeometricParameter, OrderedVector, PrecisionLossError, SingularMinorError,
-                      check_state_cap, delta_neg_binomial, delta_neg_binomial_orders,
-                      toeplitz_determinant)
+from .weights import (GeometricParameter, OrderedVector, PrecisionLossError, check_state_cap,
+                      delta_neg_binomial, delta_neg_binomial_orders, toeplitz_determinant)
 
 __all__ = [
     "TransitionQuery",
@@ -184,28 +185,6 @@ def transition_det(tq: TransitionQuery, *, exact: bool = True) -> Fraction | flo
     return bareiss_determinant(matrix) if exact else _lu_determinant(matrix)
 
 
-def _summed_transition_matrix(q, steps: int, x, eta: int) -> list[list[Fraction]]:
-    """Matrix whose determinant sums the transition det over ordered y with y_n <= eta.
-
-    Summing det( Delta^(j-i) w_s(y_j - x_i) ) over the ordered final states
-    below eta lowers every difference power by one and evaluates it at
-    eta + 1 - x_i: the sum is det( Delta^(j-i-1) w_s(eta + 1 - x_i) ).
-    """
-    n = len(x)
-    return [
-        [delta_neg_binomial(q, steps, j - i - 1, eta + 1 - x[i]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-#: Smallest n at which `cdf_det` takes the modular Toeplitz determinant
-#: instead of Bareiss elimination.  Measured on one core, with q in {1/2,
-#: 1/3, 7/10, 43/124, 9/10}, m in {n, n + 4} and eta near the median: from
-#: n = 14 on the engine took 0.08-0.77 of Bareiss's time; at n = 12 and 13
-#: it still took up to 1.29 of it at q = 1/2.
-TOEPLITZ_MIN_N = 14
-
-
 def cdf_det(cq: CdfQuery, *, exact: bool = True) -> Fraction | float:
     """P[G(m, n) <= eta] as an n x n determinant of difference powers at eta + 1.
 
@@ -214,25 +193,19 @@ def cdf_det(cq: CdfQuery, *, exact: bool = True) -> Fraction | float:
     j - i alone: the matrix is Toeplitz, and only its 2n - 1 distinct values
     Delta^k w_m(eta + 1), k in [-n, n-2], are computed, as integers over one
     common scale c (`delta_neg_binomial_orders`).  The exact layer takes the
-    determinant of the integer Toeplitz matrix and multiplies it by c^n
-    once: by `toeplitz_determinant` (Levinson modulo primes, O(n^2) word
-    operations per prime) from n = TOEPLITZ_MIN_N on, and by
-    `bareiss_determinant` (O(n^3) operations on big integers) below it or
-    when a leading minor of the matrix is zero.  The float layer runs LU on
-    the same values.
+    determinant of the integer Toeplitz matrix by `toeplitz_determinant`
+    (Levinson modulo primes, O(n^2) word operations per prime) and
+    multiplies it by c^n once.  No leading minor can vanish: the leading
+    k x k block is the matrix of (m, k, eta) over the same scale, so its
+    determinant is c^-k P[G(m, k) <= eta] >= c^-k (1-q)^(mk) > 0 for
+    k <= n <= m.  The float layer runs LU on the same values.
     """
     n = cq.n
     symbol, scale = delta_neg_binomial_orders(cq.q, cq.m, cq.eta + 1, -n, n - 2)
     if not exact:
         values = [scale * value for value in symbol]
         return _lu_determinant([[values[j - i + n - 1] for j in range(n)] for i in range(n)])
-    if n >= TOEPLITZ_MIN_N:
-        try:
-            return scale**n * toeplitz_determinant(symbol)
-        except SingularMinorError:
-            pass
-    return scale**n * bareiss_determinant(
-        [[symbol[j - i + n - 1] for j in range(n)] for i in range(n)])
+    return scale**n * toeplitz_determinant(symbol)
 
 
 def joint_cdf(

@@ -13,10 +13,11 @@ propagating that transition over a truncated state space.  The propagation
 uses the product form: a step is a sweep over the n columns, each a fold of
 the integer masses onto max(y_{k-1}, x_k) and a geometric recurrence along
 y_k, so no state's outgoing row is ever built.  The MEIXNER_MAX_STATES cap
-of `weights` bounds the state count and the number of entries those rows
-would hold, which no layer of the sweep exceeds, and the cells of one Monte
-Carlo grid.  Everything here is independent of the determinantal machinery in
-the sibling modules, which is what makes it usable as an oracle for them.
+of `weights` bounds the number of entries those rows would hold, which
+neither the state count nor any layer of the sweep exceeds, and the cells of
+one Monte Carlo grid.  Everything here is independent of the determinantal
+machinery in the sibling modules, which is what makes it usable as an oracle
+for them.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .weights import (GeometricParameter, OrderedVector, StateSpaceError, _state_cap,
                       check_state_cap, geometric_pmf)
-from .weights import MAX_STATES_ENV  # noqa: F401  (still importable from here)
 
 __all__ = [
     "WeightGrid",
@@ -253,53 +252,16 @@ def _segments(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _table_entries(n: int, eta: int, cap: int) -> int:
-    """Whole-row transition-table entries that the DP is charged against `cap`.
+def _table_entries(n: int, eta: int) -> int:
+    """Entries of the whole-row transition table that the DP is charged.
 
     A state x of the box-truncated chain reaches exactly the weakly
     increasing y >= x inside [0, eta]^n, so the entries are the pairs x <= y,
     binom(eta+n, n) binom(eta+n+1, n) / (n+1) of them (MacMahon's count of
-    plane partitions in a 2 x n x eta box).  At most `cap` of them, their
-    count is returned.  Otherwise the return value is the running count over
-    the states in lexicographic order at the first state whose row passes
-    the cap, which is the count that the table, when it was built row by row,
-    refused with.  That state is found one coordinate at a time.  With x_1..
-    x_{k-1} fixed, the pairs with x_k = c number the sum over v >= c of
-    P(v) S(c, v), where P(v) counts the y_1..y_{k-1} with y_i >= x_i and
-    y_{k-1} <= v (1 for k = 1), and S(u, v) counts the pairs of weakly
-    increasing tails of length r = n - k over [u, eta] and [v, eta] with
-    the first below the second: by Lindstrom-Gessel-Viennot,
-    binom(r+eta-v, r) binom(r+eta-u, r) - binom(r+eta-v, r+1) binom(r+eta-u, r-1).
+    plane partitions in a 2 x n x eta box).  Each state pairs with itself,
+    so the count is at least the binom(eta+n, n) states.
     """
-    total = math.comb(eta + n, n) * math.comb(eta + n + 1, n) // (n + 1)
-    if total <= cap:
-        return total
-
-    def comb(top: int, k: int) -> int:
-        return math.comb(top, k) if k >= 0 else 0
-
-    count, low, ends = 0, 0, None
-    for k in range(1, n + 1):
-        r = n - k
-        if ends is not None:  # suffix sums over v >= c of P(v) binom(r+eta-v, r) and (., r+1)
-            upper, lower = [0] * (eta + 2), [0] * (eta + 2)
-            for v in range(eta, low - 1, -1):
-                upper[v] = upper[v + 1] + ends[v] * comb(r + eta - v, r)
-                lower[v] = lower[v + 1] + ends[v] * comb(r + eta - v, r + 1)
-        for c in range(low, eta + 1):
-            if ends is None:  # P = 1: the sums over v close by the hockey stick
-                u, w = comb(r + eta - c + 1, r + 1), comb(r + eta - c + 1, r + 2)
-            else:
-                u, w = upper[c], lower[c]
-            pairs = comb(r + eta - c, r) * u - comb(r + eta - c, r - 1) * w
-            if count + pairs > cap:
-                break
-            count += pairs
-        if k < n:  # fix x_k = c; P(v) becomes the running sum of [v >= c] P(v)
-            ends = list(accumulate(e if v >= c else 0
-                                   for v, e in enumerate(ends or [1] * (eta + 1))))
-            low = c
-    return count + pairs
+    return math.comb(eta + n, n) * math.comb(eta + n + 1, n) // (n + 1)
 
 
 def _sweep_columns(n: int, eta: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -376,14 +338,15 @@ def _transition_table(
     and small eta.  The other two items are b^z and
     (b-a) b^(eta-z), z = 0..eta, for q = a/b.
 
-    The plan is charged its whole-row table entries (`_table_entries`),
-    which no layer exceeds (checked for n <= 400 at eta <= 200, or eta < 40
+    The plan is charged its whole-row table entries (`_table_entries`), the
+    only check of the DP against the cap: they bound the states, and no
+    layer exceeds them (checked for n <= 400 at eta <= 200, or eta < 40
     from n = 100 on), so every int32 key is exact below a cap of 2^31; a
     plan whose largest layer has 2^31 cells or more is refused.  The cap is
     part of the cache key, so a plan built under one cap is never served
     under another.
     """
-    check_state_cap(_table_entries(n, eta, cap), f"DP table entries for n={n}, eta={eta}", cap)
+    check_state_cap(_table_entries(n, eta), f"DP table entries for n={n}, eta={eta}", cap)
     span = eta + 1
     layer = span * max(math.comb(eta + k - 1, k - 1) * math.comb(eta + n - k, n - k)
                        for k in range(1, n + 1))
@@ -407,19 +370,17 @@ def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
     T[z] = a T[z-1] + b^z A[z], scaled by (b-a) b^(eta-z), for q = a/b.
     Masses are integers over b^(eta+1) per column, so the answer is one
     division at the end.  Dropping the mass above eta is exact, because once
-    a coordinate exceeds eta, G(m, n) does.  The state count binom(eta+n, n)
-    and then the entries of the whole-row transition table, which the sweep
-    never builds (see `_table_entries`), must stay at or below the cap from
-    the MEIXNER_MAX_STATES environment variable (default 5e6).
+    a coordinate exceeds eta, G(m, n) does.  The entries of the whole-row
+    transition table, which the sweep never builds (see `_table_entries`),
+    must stay at or below the cap from the MEIXNER_MAX_STATES environment
+    variable (default 5e6); they are at least the binom(eta+n, n) states.
     """
     if m < 1 or n < 1:
         raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
     if eta < 0:
         return Fraction(0)
     qp = GeometricParameter.coerce(q)
-    cap = _state_cap()
-    check_state_cap(math.comb(eta + n, n), f"DP states for n={n}, eta={eta}", cap)
-    columns, jump, scale = _transition_table(qp, n, eta, cap)
+    columns, jump, scale = _transition_table(qp, n, eta, _state_cap())
     a, span = qp.value.numerator, eta + 1
     layer = np.zeros(math.comb(eta + n - 1, n - 1) * span, dtype=object)  # as after column n
     layer[0] = 1  # the zero vector: rank-0 prefix, y_n = 0

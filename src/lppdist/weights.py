@@ -99,8 +99,7 @@ def check_state_cap(count: int, what: str, cap: int | None = None) -> None:
     """Raise StateSpaceError when `count` exceeds the state cap.
 
     The cap is read from the MEIXNER_MAX_STATES environment variable (default
-    5e6) unless the caller passes the value it already read.  `count` may be
-    a running count, so the message states it as a lower bound.
+    5e6) unless the caller passes the value it already read.
     """
     if cap is None:
         cap = _state_cap()
@@ -293,6 +292,19 @@ def delta_pow(
     return vals[-1]
 
 
+def _charge_integer_table(count: int, top: int, b: int, m: int, what: str) -> None:
+    """Charge `count` table integers to the state cap, in 64-bit words.
+
+    Each integer is binom(t+m-1, t) a^t b^(top-t) for some t <= top and
+    q = a/b, so at most binom(top+m-1, top) b^top.  A table of top + 1 of
+    them holds about top^2 log2(b) / 2 bits, so a large top is refused
+    before the table is built.
+    """
+    log_binom = math.lgamma(top + m) - math.lgamma(top + 1) - math.lgamma(m)
+    bits = top * math.log2(b) + log_binom / math.log(2)
+    check_state_cap(count * (int(bits) // 64 + 1), what)
+
+
 def delta_neg_binomial(q, m: int, k: int, x: int) -> Fraction:
     """Exact Delta^k w_m(x) with the natural support bound 0 of w_m.
 
@@ -303,13 +315,16 @@ def delta_neg_binomial(q, m: int, k: int, x: int) -> Fraction:
 
     `delta_pow` therefore runs on the integers binom(t+m-1, t) a^t b^(top-t),
     and the result is scaled by (b-a)^m / b^(m+top) once, with one gcd,
-    instead of reducing a Fraction at every addition.
+    instead of reducing a Fraction at every addition.  For k < 0 the x + 1
+    integers of its summation table are charged to the state cap first.
     """
     if m < 1:
         raise ValueError(f"convolution power m must be >= 1, got {m}")
     qv = _q(q)
     a, b = qv.numerator, qv.denominator
     top = max(x, x + k, 0)
+    if k < 0:
+        _charge_integer_table(x + 1, top, b, m, f"difference table words for m={m}, x={x}")
 
     def scaled(t: int) -> int:
         if t < 0:
@@ -330,7 +345,8 @@ def delta_neg_binomial_orders(q, m: int, x: int, low: int, high: int) -> tuple[l
     orders share one table: pass j of the exclusive prefix sum over
     binom(t+m-1, t) a^t b^(top-t), t <= x, holds Delta^-j at every point,
     and order -j is its entry at x.  Nonnegative orders are the leading
-    entries of one forward-difference table over t = x .. x + high.
+    entries of one forward-difference table over t = x .. x + high.  The
+    top + 1 integers of the table are charged to the state cap first.
     """
     if m < 1:
         raise ValueError(f"convolution power m must be >= 1, got {m}")
@@ -339,6 +355,7 @@ def delta_neg_binomial_orders(q, m: int, x: int, low: int, high: int) -> tuple[l
     qv = _q(q)
     a, b = qv.numerator, qv.denominator
     top = max(x, x + high)
+    _charge_integer_table(top + 1, top, b, m, f"difference table words for m={m}, x={x}")
     b_powers = [1]
     for _ in range(top):
         b_powers.append(b_powers[-1] * b)

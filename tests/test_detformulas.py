@@ -27,8 +27,21 @@ from lppdist import (
     one_step_transition,
     transition_det,
 )
-from lppdist.detformulas import _summed_transition_matrix
-from lppdist.lpp import MAX_STATES_ENV
+from lppdist.weights import MAX_STATES_ENV, delta_neg_binomial
+
+
+def summed_transition_matrix(q, steps, x, eta):
+    """Matrix whose determinant sums the transition det over ordered y with y_n <= eta.
+
+    Summing det( Delta^(j-i) w_s(y_j - x_i) ) over the ordered final states
+    below eta lowers every difference power by one and evaluates it at
+    eta + 1 - x_i: the sum is det( Delta^(j-i-1) w_s(eta + 1 - x_i) ).
+    """
+    n = len(x)
+    return [
+        [delta_neg_binomial(q, steps, j - i - 1, eta + 1 - x[i]) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def det_permutation(matrix):
@@ -234,7 +247,7 @@ class TestCdfDet:
         # cdf_det fills its matrix from 2n - 1 values by j - i; the summed
         # transition matrix from the origin builds all n^2 entries directly.
         q, m, n, eta = Fraction(4, 7), 16, 12, 40
-        full = _summed_transition_matrix(q, m, (0,) * n, eta)
+        full = summed_transition_matrix(q, m, (0,) * n, eta)
         assert cdf_det(CdfQuery(q, m, n, eta)) == bareiss_determinant(full)
 
     def test_float_layer_tracks_exact(self, q_canon):

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from lppdist import CdfQuery, StateSpaceError, cdf_det, exact_cdf_dp
 from lppdist import lpp
-from lppdist.lpp import MAX_STATES_ENV
+from lppdist.weights import MAX_STATES_ENV
 from lppdist.weights import GeometricParameter
 
 
@@ -92,36 +92,32 @@ class TestSweepMatchesDeterminant:
         assert exact_cdf_dp(q, 2, 66, 1) == cdf_det(CdfQuery(q, 66, 2, 1))
 
 
-def row_by_row_entries(n, eta, cap):
-    """Running table-entry count at the first state whose row passes `cap`, else the total."""
-    states = list(combinations_with_replacement(range(eta + 1), n))
-    entries = 0
-    for x in states:
-        entries += sum(all(a <= b for a, b in zip(x, y)) for y in states)
-        if entries > cap:
-            break
-    return entries
-
-
 class TestSweepStateCap:
     # (1/2, 3, 3, 4): 35 states, 490 table entries and 5 * 55 = 275 sweep
     # cells over its three layers.
-    def test_refusal_reports_the_running_table_entry_count(self, monkeypatch):
-        q = Fraction(1, 2)
-        monkeypatch.setenv(MAX_STATES_ENV, "489")
-        with pytest.raises(StateSpaceError, match=r"DP table entries for n=3, eta=4 number at least 490,"):
-            exact_cdf_dp(q, 3, 3, 4)
-        monkeypatch.setenv(MAX_STATES_ENV, "35")
-        with pytest.raises(StateSpaceError, match=r"DP table entries for n=3, eta=4 number at least 69,"):
-            exact_cdf_dp(q, 3, 3, 4)
+    def test_refusal_reports_the_table_entry_total(self, monkeypatch):
+        for cap in ("489", "35"):
+            monkeypatch.setenv(MAX_STATES_ENV, cap)
+            with pytest.raises(StateSpaceError, match=r"DP table entries for n=3, eta=4 number at least 490,"):
+                exact_cdf_dp(Fraction(1, 2), 3, 3, 4)
 
     @pytest.mark.parametrize("n", range(1, 5))
-    def test_charged_entries_equal_the_row_by_row_count(self, n):
+    def test_charged_entries_equal_the_row_by_row_count(self, n, monkeypatch):
+        # The row-by-row table held one entry per pair of states x <= y; the
+        # DP runs at a cap of exactly that count and refuses one below it.
+        q = Fraction(1, 2)
         for eta in range(0, 5):
             states = list(combinations_with_replacement(range(eta + 1), n))
             total = sum(all(a <= b for a, b in zip(x, y)) for x in states for y in states)
-            for cap in range(1, total + 2):
-                assert lpp._table_entries(n, eta, cap) == row_by_row_entries(n, eta, cap)
+            assert lpp._table_entries(n, eta) == total
+            monkeypatch.delenv(MAX_STATES_ENV, raising=False)
+            expected = cdf_det(CdfQuery(q, n, n, eta))
+            if total > 1:
+                monkeypatch.setenv(MAX_STATES_ENV, str(total - 1))
+                with pytest.raises(StateSpaceError, match=f"number at least {total},"):
+                    exact_cdf_dp(q, n, n, eta)
+            monkeypatch.setenv(MAX_STATES_ENV, str(total))
+            assert exact_cdf_dp(q, n, n, eta) == expected
 
     def test_shape_within_the_table_entry_count_still_runs(self, monkeypatch):
         monkeypatch.setenv(MAX_STATES_ENV, "490")

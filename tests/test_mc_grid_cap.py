@@ -11,7 +11,7 @@ import pytest
 
 import lppdist.cli as cli
 from lppdist import StateSpaceError, mc_cdfs, sample_grid
-from lppdist.lpp import MAX_STATES_ENV
+from lppdist.weights import MAX_STATES_ENV
 
 Q = Fraction(1, 2)
 

@@ -29,7 +29,7 @@ from lppdist import (
     partition_function,
     vandermonde,
 )
-from lppdist.lpp import MAX_STATES_ENV
+from lppdist.weights import MAX_STATES_ENV
 
 
 def _stirling2_row(r: int) -> list[int]:

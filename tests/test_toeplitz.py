@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from lppdist import detformulas, weights
-from lppdist.detformulas import TOEPLITZ_MIN_N, CdfQuery, bareiss_determinant, cdf_det
+from lppdist import weights
+from lppdist.detformulas import CdfQuery, bareiss_determinant, cdf_det
 from lppdist.weights import (MAX_STATES_ENV, SingularMinorError, StateSpaceError,
                              delta_neg_binomial, delta_neg_binomial_orders, toeplitz_determinant)
 
@@ -57,9 +58,7 @@ def toeplitz(symbol: list[int]) -> list[list[int]]:
     return [[symbol[j - i + n - 1] for j in range(n)] for i in range(n)]
 
 
-def test_pools_reach_both_sides_of_the_crossover():
-    sizes = {n for _, _, n, _ in SHAPES}
-    assert min(sizes) < TOEPLITZ_MIN_N <= max(sizes)
+def test_pools_hold_more_than_the_exact_det_queries():
     assert len(SHAPES) > 112
 
 
@@ -70,6 +69,17 @@ def test_pool_shapes_equal_bareiss(shape):
     assert cdf_det(CdfQuery(q, m, n, eta)) == oracle
     symbol, scale = delta_neg_binomial_orders(q, m, eta + 1, -n, n - 2)
     assert scale**n * toeplitz_determinant(symbol) == oracle
+
+
+@given(
+    q=st.integers(2, 50).flatmap(lambda b: st.builds(Fraction, st.integers(1, b - 1), st.just(b))),
+    n=st.integers(1, 8),
+    extra=st.integers(0, 4),
+    eta=st.integers(0, 8),
+)
+def test_small_shapes_equal_bareiss(q, n, extra, eta):
+    # n = 1 and eta = 0 run on the modular engine too.
+    assert cdf_det(CdfQuery(q, n + extra, n, eta)) == bareiss_oracle(q, n + extra, n, eta)
 
 
 def test_forty_by_forty_equals_bareiss():
@@ -120,16 +130,6 @@ def test_minor_zero_over_q_is_refused(symbol):
 @pytest.mark.parametrize("symbol", [[0], [-7], [1, 1, 1], [1, 2, 3, 4, 5], [0, -3, 0]])
 def test_full_determinant_may_vanish_or_be_negative(symbol):
     assert toeplitz_determinant(symbol) == bareiss_determinant(toeplitz(symbol))
-
-
-def test_cdf_det_falls_back_to_bareiss_on_a_zero_minor(monkeypatch, rng):
-    n = TOEPLITZ_MIN_N
-    symbol = [int(v) for v in rng.integers(-1000, 1000, size=2 * n - 1)]
-    symbol[n - 1] = 0  # t_0: the leading 1 x 1 minor
-    scale = Fraction(3, 7)
-    monkeypatch.setattr(detformulas, "delta_neg_binomial_orders", lambda *args: (symbol, scale))
-    value = cdf_det(CdfQuery(Fraction(1, 2), n, n, 5))
-    assert value == scale**n * bareiss_determinant(toeplitz(symbol)) != 0
 
 
 def test_prime_dividing_a_leading_minor_is_dropped(monkeypatch):
