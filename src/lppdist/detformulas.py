@@ -10,6 +10,8 @@ and summing the same structure gives the one-point distribution function
 
     P[G(m, n) <= eta] = det( Delta^(j-i-1) w_m(eta + 1) )_{i,j=1..n},  m >= n.
 
+Every entry comes from the one integer difference table of `weights`
+(`delta_neg_binomial_orders`, one order per entry in `delta_neg_binomial`).
 Both evaluate in two scalar layers: exact rationals, and floats through
 LAPACK's LU factorization.  The exact layer runs a fraction-free Bareiss
 elimination, except on the distribution function's matrix: entry (i, j)

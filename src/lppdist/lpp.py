@@ -323,20 +323,19 @@ def _sweep_columns(n: int, eta: int) -> Iterator[tuple[int, np.ndarray, np.ndarr
 # A kept plan has at most 12 bytes of index arrays per sweep cell, and at
 # most `cap` cells, 30 MB at most under the default cap (measured at its
 # largest, n = 245, eta = 1), so the 20 cached plans retain at most about
-# 600 MB.  The benchmark's crosscheck sessions reuse a plan within at most
-# 17 others.
+# 600 MB.  The plan does not depend on q, so the benchmark's exact pool,
+# seven DP shapes under 16 values of q each, keeps all of them.
 @lru_cache(maxsize=20)
 def _transition_table(
-    q: GeometricParameter, n: int, eta: int, cap: int
-) -> tuple[tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...] | None, np.ndarray, np.ndarray]:
+    n: int, eta: int, cap: int
+) -> tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...] | None:
     """Plan of one box-truncated chain step, for `exact_cdf_dp`.
 
-    The first item holds the `_sweep_columns` of the step, or None when
-    their cells over all n layers, (eta+1) binom(2 eta+n, n-1) by
-    Chu-Vandermonde, exceed `cap`; such a plan is rebuilt column by column
-    in each step and never kept whole.  That happens only with many columns
-    and small eta.  The other two items are b^z and
-    (b-a) b^(eta-z), z = 0..eta, for q = a/b.
+    The plan holds the `_sweep_columns` of the step, or is None when their
+    cells over all n layers, (eta+1) binom(2 eta+n, n-1) by Chu-Vandermonde,
+    exceed `cap`; such a plan is rebuilt column by column in each step and
+    never kept whole.  That happens only with many columns and small eta.
+    The plan depends on the shape (n, eta) alone and serves every q.
 
     The plan is charged its whole-row table entries (`_table_entries`), the
     only check of the DP against the cap: they bound the states, and no
@@ -353,11 +352,7 @@ def _transition_table(
     if layer >= 2**31:
         raise StateSpaceError(f"DP sweep layer for n={n}, eta={eta} has {layer} cells, beyond int32 keys")
     cells = span * math.comb(2 * eta + n, n - 1)
-    columns = tuple(_sweep_columns(n, eta)) if cells <= cap else None
-    a, b = q.value.numerator, q.value.denominator
-    jump = np.array([b**t for t in range(span)], dtype=object)
-    scale = np.array([(b - a) * b ** (eta - t) for t in range(span)], dtype=object)
-    return columns, jump, scale
+    return tuple(_sweep_columns(n, eta)) if cells <= cap else None
 
 
 def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
@@ -369,19 +364,23 @@ def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
     t = max(y_{k-1}, x_k), and the geometric jump runs as the recurrence
     T[z] = a T[z-1] + b^z A[z], scaled by (b-a) b^(eta-z), for q = a/b.
     Masses are integers over b^(eta+1) per column, so the answer is one
-    division at the end.  Dropping the mass above eta is exact, because once
-    a coordinate exceeds eta, G(m, n) does.  The entries of the whole-row
-    transition table, which the sweep never builds (see `_table_entries`),
-    must stay at or below the cap from the MEIXNER_MAX_STATES environment
-    variable (default 5e6); they are at least the binom(eta+n, n) states.
+    division at the end; the plan is cached per shape, and only b^z and
+    (b-a) b^(eta-z) are built per call.  Dropping the mass above eta is
+    exact, because once a coordinate exceeds eta, G(m, n) does.  The
+    entries of the whole-row transition table, which the sweep never builds
+    (see `_table_entries`), must stay at or below the cap from the
+    MEIXNER_MAX_STATES environment variable (default 5e6); they are at least
+    the binom(eta+n, n) states.
     """
     if m < 1 or n < 1:
         raise ValueError(f"grid dimensions must be >= 1, got m={m}, n={n}")
     if eta < 0:
         return Fraction(0)
     qp = GeometricParameter.coerce(q)
-    columns, jump, scale = _transition_table(qp, n, eta, _state_cap())
-    a, span = qp.value.numerator, eta + 1
+    columns = _transition_table(n, eta, _state_cap())
+    a, b, span = qp.value.numerator, qp.value.denominator, eta + 1
+    jump = np.array([b**t for t in range(span)], dtype=object)
+    scale = np.array([(b - a) * b ** (eta - t) for t in range(span)], dtype=object)
     layer = np.zeros(math.comb(eta + n - 1, n - 1) * span, dtype=object)  # as after column n
     layer[0] = 1  # the zero vector: rank-0 prefix, y_n = 0
     for _ in range(m):
@@ -394,4 +393,4 @@ def exact_cdf_dp(q, m: int, n: int, eta: int) -> Fraction:
                 grid[:, t] += a * grid[:, t - 1]
             grid *= scale
             layer = folded
-    return Fraction(int(layer.sum()), qp.value.denominator ** (span * n * m))
+    return Fraction(int(layer.sum()), b ** (span * n * m))

@@ -14,7 +14,8 @@ On top of these the module provides the forward difference calculus
 with integer powers of either sign, the discrete kernels h^{*k} that represent
 repeated summation as a convolution, and a contour-integral evaluation of
 Delta^k w_m built on trapezoidal quadrature over circles.  Exact operations
-return `fractions.Fraction`; the contour route returns floats and is the
+return `fractions.Fraction`, on w_m from one integer table
+(`delta_neg_binomial_orders`); the contour route returns floats and is the
 independent cross-check used by the test suite.
 
 It is also the one module the four routes share: besides the calculus it
@@ -33,7 +34,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -292,88 +293,76 @@ def delta_pow(
     return vals[-1]
 
 
-def _charge_integer_table(count: int, top: int, b: int, m: int, what: str) -> None:
-    """Charge `count` table integers to the state cap, in 64-bit words.
+def _charge_integer_table(top: int, b: int, m: int, what: str) -> None:
+    """Charge the top + 1 table integers to the state cap, in 64-bit words.
 
     Each integer is binom(t+m-1, t) a^t b^(top-t) for some t <= top and
-    q = a/b, so at most binom(top+m-1, top) b^top.  A table of top + 1 of
-    them holds about top^2 log2(b) / 2 bits, so a large top is refused
-    before the table is built.
+    q = a/b, so at most binom(top+m-1, top) b^top.  The table holds about
+    top^2 log2(b) / 2 bits, so a large top is refused before it is built.
     """
     log_binom = math.lgamma(top + m) - math.lgamma(top + 1) - math.lgamma(m)
     bits = top * math.log2(b) + log_binom / math.log(2)
-    check_state_cap(count * (int(bits) // 64 + 1), what)
+    check_state_cap((top + 1) * (int(bits) // 64 + 1), what)
 
 
 def delta_neg_binomial(q, m: int, k: int, x: int) -> Fraction:
     """Exact Delta^k w_m(x) with the natural support bound 0 of w_m.
 
-    The difference calculus runs on integers.  For q = a/b, `delta_pow`
-    evaluates w_m nowhere above top = max(x, x+k, 0), and for 0 <= t <= top
-
-        w_m(t) b^(m+top) = (b-a)^m binom(t+m-1, t) a^t b^(top-t).
-
-    `delta_pow` therefore runs on the integers binom(t+m-1, t) a^t b^(top-t),
-    and the result is scaled by (b-a)^m / b^(m+top) once, with one gcd,
-    instead of reducing a Fraction at every addition.  For k < 0 the x + 1
-    integers of its summation table are charged to the state cap first.
+    The one-order view of `delta_neg_binomial_orders` (low = high = k), with
+    its window, its charge for k < 0, and any integer x.
     """
-    if m < 1:
-        raise ValueError(f"convolution power m must be >= 1, got {m}")
-    qv = _q(q)
-    a, b = qv.numerator, qv.denominator
-    top = max(x, x + k, 0)
-    if k < 0:
-        _charge_integer_table(x + 1, top, b, m, f"difference table words for m={m}, x={x}")
-
-    def scaled(t: int) -> int:
-        if t < 0:
-            return 0
-        return math.comb(t + m - 1, t) * a**t * b ** (top - t)
-
-    total = delta_pow(scaled, k, x, support_min=0)
-    return Fraction((b - a) ** m * total, b ** (m + top))
+    values, scale = delta_neg_binomial_orders(q, m, x, k, k)
+    return Fraction(scale.numerator * values[0], scale.denominator)
 
 
 def delta_neg_binomial_orders(q, m: int, x: int, low: int, high: int) -> tuple[list[int], Fraction]:
     """Delta^k w_m(x) for every k in [low, high], as integers over one scale.
 
     Returns (values, scale) with Delta^k w_m(x) = scale * values[k - low].
-    For q = a/b and top = max(x, x + high), the values are those of
-    `delta_neg_binomial` over the one power b^(m + top), scale =
-    (b-a)^m / b^(m + top), so no value is reduced on its own.  Negative
-    orders share one table: pass j of the exclusive prefix sum over
-    binom(t+m-1, t) a^t b^(top-t), t <= x, holds Delta^-j at every point,
-    and order -j is its entry at x.  Nonnegative orders are the leading
-    entries of one forward-difference table over t = x .. x + high.  The
-    top + 1 integers of the table are charged to the state cap first.
+    For q = a/b and top = max(x, x + high, 0), w_m(t) b^(m + top) =
+    (b-a)^m binom(t+m-1, t) a^t b^(top-t) is an integer for t <= top, so
+    scale = (b-a)^m / b^(m + top) and no value is reduced on its own.  The
+    integers fill one table over the window the orders read, t in [0, x]
+    for negative orders and [x, x + high] for the others, zero below t = 0:
+    built upward as binom(t+m-1, t) a^t, then scaled in place by b^(top-t)
+    from the top down.  With S the inclusive prefix sum, Delta^-j w_m(x) =
+    S^j w_m(x - j), so pass j of S runs in place over t <= x - j and leaves
+    order -j at t = x - j, out of reach of later passes; orders <= 0 are 0
+    for x < 0.  Nonnegative orders lead the forward-difference table over
+    t = x .. x + high.  When a negative order reads the table (x > 0), its
+    top + 1 integers are charged to the state cap before it is built;
+    nonnegative orders alone read high + 1 integers and are not charged.
     """
     if m < 1:
         raise ValueError(f"convolution power m must be >= 1, got {m}")
-    if x < 0 or low > high:
-        raise ValueError(f"need x >= 0 and low <= high, got x={x}, low={low}, high={high}")
+    if low > high:
+        raise ValueError(f"need low <= high, got low={low}, high={high}")
     qv = _q(q)
     a, b = qv.numerator, qv.denominator
-    top = max(x, x + high)
-    _charge_integer_table(top + 1, top, b, m, f"difference table words for m={m}, x={x}")
-    b_powers = [1]
-    for _ in range(top):
-        b_powers.append(b_powers[-1] * b)
-    scaled, binom, a_power = [], 1, 1
-    for t in range(top + 1):
-        scaled.append(binom * a_power * b_powers[top - t])
-        binom = binom * (t + m) // (t + 1)
-        a_power *= a
+    first, last = min(x, 0) if low < 0 else x, x + max(high, 0)
+    top = max(last, 0)
+    if low < 0 < x:
+        _charge_integer_table(top, b, m, f"difference table words for m={m}, x={x}")
+    start = max(first, 0)
+    table = [0] * (min(start, last + 1) - first)  # t < 0
+    if start <= last:
+        binom, a_power = math.comb(start + m - 1, start), a**start
+        for t in range(start, last + 1):
+            table.append(binom * a_power)
+            binom = binom * (t + m) // (t + 1)
+            a_power *= a
+        b_power = 1
+        for i in reversed(range(start - first, len(table))):
+            table[i] *= b_power
+            b_power *= b
     values = []
     if low < 0:
-        passes = scaled[: x + 1]
-        negative = []
-        for _ in range(-low):
-            passes = [0, *accumulate(passes[:-1])]
-            negative.append(passes[-1])
-        values = negative[max(-high, 1) - 1:][::-1]
+        for j in range(1, min(-low, x) + 1):
+            for i, total in enumerate(accumulate(islice(table, x - j + 1))):
+                table[i] = total
+        values = [table[x + k] if x + k >= 0 else 0 for k in range(low, min(high, -1) + 1)]
     if high >= 0:
-        row = scaled[x:]
+        row = table[x - first:]
         for k in range(high + 1):
             if k >= low:
                 values.append(row[0])

@@ -1,10 +1,11 @@
 """A large eta is refused before a difference table is built.
 
-`delta_neg_binomial_orders`, behind exact `cdf_det`, and the negative orders
-of `delta_neg_binomial`, behind `transition_det` and `joint_cdf`, hold about
-x^2 log2(b) / 2 bits of integers at the point x.  Both charge the 64-bit
-words of those integers to the MEIXNER_MAX_STATES cap first, so a refusal
-allocates nothing that grows with x.
+`delta_neg_binomial_orders` holds the one integer table behind exact
+`cdf_det` and, through `delta_neg_binomial`, behind `transition_det` and
+`joint_cdf`.  For a negative order it holds about x^2 log2(b) / 2 bits of
+integers at the point x, and it charges their 64-bit words to the
+MEIXNER_MAX_STATES cap first, so a refusal allocates nothing that grows
+with x, and a table that is built stays within about the words charged.
 """
 
 import tracemalloc
@@ -41,6 +42,22 @@ def test_large_eta_refusal_has_bounded_memory(name):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("order", [-1, -3])
+def test_table_peak_stays_near_the_words_charged(order):
+    # q = 1/2, m = 1: each of the x + 1 integers is below 2^x, so the table
+    # is charged (x + 1) (x // 64 + 1) words.  It is built and summed in
+    # place, so no second table of that size is ever alive.
+    x = 17001
+    charged = (x + 1) * (x // 64 + 1) * 8
+    tracemalloc.start()
+    try:
+        delta_neg_binomial_orders(HALF, 1, x, order, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * charged
 
 
 def test_moderate_eta_still_runs():

@@ -16,7 +16,6 @@ from hypothesis import given, strategies as st
 from lppdist import CdfQuery, StateSpaceError, cdf_det, exact_cdf_dp
 from lppdist import lpp
 from lppdist.weights import MAX_STATES_ENV
-from lppdist.weights import GeometricParameter
 
 
 def table_cdf(q, m, n, eta):
@@ -140,17 +139,16 @@ class TestSweepStateCap:
     def test_plan_over_the_cap_is_rebuilt_per_step_not_kept(self, monkeypatch):
         # n = 10, eta = 1: 66 table entries, 2 * binom(12, 9) = 440 sweep cells.
         q = Fraction(1, 2)
-        qp = GeometricParameter.coerce(q)
         monkeypatch.setenv(MAX_STATES_ENV, "439")
         assert exact_cdf_dp(q, 3, 10, 1) == cdf_det(CdfQuery(q, 10, 3, 1))
-        assert lpp._transition_table(qp, 10, 1, 439)[0] is None
+        assert lpp._transition_table(10, 1, 439) is None
         monkeypatch.setenv(MAX_STATES_ENV, "440")
         assert exact_cdf_dp(q, 3, 10, 1) == cdf_det(CdfQuery(q, 10, 3, 1))
-        assert len(lpp._transition_table(qp, 10, 1, 440)[0]) == 10
+        assert len(lpp._transition_table(10, 1, 440)) == 10
 
     def test_plan_keys_past_int32_are_refused(self):
         with pytest.raises(StateSpaceError, match="int32"):
-            lpp._transition_table(GeometricParameter.coerce(Fraction(1, 2)), 1, 2**31, 2**80)
+            lpp._transition_table(1, 2**31, 2**80)
 
     def test_plan_cache_is_bounded(self):
         assert lpp._transition_table.cache_info().maxsize is not None

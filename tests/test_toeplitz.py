@@ -22,7 +22,8 @@ from hypothesis import given, strategies as st
 from lppdist import weights
 from lppdist.detformulas import CdfQuery, bareiss_determinant, cdf_det
 from lppdist.weights import (MAX_STATES_ENV, SingularMinorError, StateSpaceError,
-                             delta_neg_binomial, delta_neg_binomial_orders, toeplitz_determinant)
+                             delta_neg_binomial, delta_neg_binomial_orders, delta_pow,
+                             neg_binomial, toeplitz_determinant)
 
 POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "pools"
 
@@ -185,13 +186,17 @@ def test_state_cap_refuses_before_allocating(monkeypatch):
 
 
 def test_orders_equal_delta_neg_binomial():
+    # The oracle is the difference calculus on the Fraction values of w_m,
+    # which shares no code with the integer table.  Below the support every
+    # order <= 0 is 0, and positive orders read the zeros below t = 0.
     for q in (Fraction(1, 2), Fraction(7, 10), Fraction(2, 7)):
         for m in (1, 2, 5):
-            for x in (0, 1, 4, 9):
+            for x in (*range(-6, 0), 0, 1, 4, 9):
                 for low in range(-5, 3):
                     for high in range(low, 5):
                         values, scale = delta_neg_binomial_orders(q, m, x, low, high)
-                        expected = [delta_neg_binomial(q, m, k, x) for k in range(low, high + 1)]
+                        expected = [delta_pow(lambda t: neg_binomial(q, m, t), k, x, support_min=0)
+                                    for k in range(low, high + 1)]
                         assert [scale * v for v in values] == expected
 
 
