@@ -25,7 +25,7 @@ from fractions import Fraction
 import mpmath
 
 from .detformulas import CdfQuery, cdf_det, joint_cdf, transition_det, TransitionQuery
-from .fredholm import _SECTION_CAP, KernelSpec, cdf_biorth, cdf_fredholm
+from .fredholm import _SECTION_CAP, NUMERIC_TOL, KernelSpec, cdf_biorth, cdf_fredholm
 from .lpp import exact_cdf_dp, mc_cdf, mc_cdfs
 from .meixner import MeixnerEnsembleQuery, meixner_cdf_bruteforce, meixner_cdf_gram
 from .weights import (ContourConfig, GeometricParameter, OrderedVector, PrecisionLossError,
@@ -37,8 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
 
-#: Absolute tolerance declared by the float-valued formula routes.
-NUMERIC_TOL = 1e-8
 #: z of the Wilson score interval that bounds Monte Carlo agreement.
 MC_SIGMA = 4.0
 #: Seeds key a Philox stream, whose keys lie in [0, 2**128).

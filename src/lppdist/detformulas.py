@@ -11,10 +11,9 @@ and summing the same structure gives the one-point distribution function
     P[G(m, n) <= eta] = det( Delta^(j-i-1) w_m(eta + 1) )_{i,j=1..n},  m >= n.
 
 Every entry comes from the one integer difference table of `weights`
-(`delta_neg_binomial_orders`, one order per entry in `delta_neg_binomial`).
-Both evaluate in two scalar layers: exact rationals, and floats through
-LAPACK's LU factorization.  The exact layer runs a fraction-free Bareiss
-elimination, except on the distribution function's matrix: entry (i, j)
+(`delta_neg_binomial_orders`, one order per entry in `delta_neg_binomial`),
+and every determinant is an exact rational.  The transition determinant runs
+a fraction-free Bareiss elimination; the distribution function's entry (i, j)
 depends on j - i alone, so that matrix is Toeplitz, and
 `toeplitz_determinant` takes its determinant in O(n^2) word operations per
 prime.  Its leading k x k block is the matrix of the narrower grid (m, k,
@@ -32,10 +31,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-import numpy as np
-
-from .weights import (GeometricParameter, OrderedVector, PrecisionLossError, check_state_cap,
-                      delta_neg_binomial, delta_neg_binomial_orders, toeplitz_determinant)
+from .weights import (GeometricParameter, OrderedVector, check_state_cap, delta_neg_binomial,
+                      delta_neg_binomial_orders, toeplitz_determinant)
 
 __all__ = [
     "TransitionQuery",
@@ -133,81 +130,37 @@ def bareiss_determinant(matrix: Sequence[Sequence[Fraction | int]]) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1], scale)
 
 
-#: Largest error the float layer answers with: 1-norm condition number times
-#: machine epsilon must stay below it.
-LU_TOLERANCE = 1e-8
+def transition_det(tq: TransitionQuery) -> Fraction:
+    """Multi-step transition probability of the chain as an exact determinant.
 
-
-def _lu_determinant(matrix: Sequence[Sequence[Fraction | int]]) -> float:
-    """Float determinant by LU, refused when conditioning could spoil it.
-
-    Rows, then columns, are first scaled by powers of two to a largest
-    magnitude in [1/2, 1), which is exact and divides out exactly; the
-    difference-power matrices span hundreds of orders of magnitude and are
-    far better conditioned once balanced.  Raises PrecisionLossError when the
-    balanced matrix's 1-norm condition number times machine epsilon, a bound
-    on the relative error of its LU determinant, exceeds LU_TOLERANCE.  A
-    zero row or column gives 0 exactly.
-    """
-    a = np.array(matrix, dtype=float)
-    _, row_exp = np.frexp(np.max(np.abs(a), axis=1))
-    a = np.ldexp(a, -row_exp[:, None])
-    _, col_exp = np.frexp(np.max(np.abs(a), axis=0))
-    a = np.ldexp(a, -col_exp[None, :])
-    if not (np.all(np.any(a, axis=0)) and np.all(np.any(a, axis=1))):
-        return 0.0
-    bound = float(np.linalg.cond(a, 1)) * float(np.finfo(float).eps)
-    if not bound <= LU_TOLERANCE:
-        raise PrecisionLossError(
-            f"float determinant of a {len(a)}x{len(a)} matrix has condition bound "
-            f"{bound:.3g} above {LU_TOLERANCE}; use exact=True"
-        )
-    return math.ldexp(float(np.linalg.det(a)), int(row_exp.sum() + col_exp.sum()))
-
-
-def _transition_matrix(tq: TransitionQuery) -> list[list[Fraction]]:
-    q, s = tq.q, tq.steps
-    return [
-        [delta_neg_binomial(q, s, j - i, tq.y[j] - tq.x[i]) for j in range(tq.n)]
-        for i in range(tq.n)
-    ]
-
-
-def transition_det(tq: TransitionQuery, *, exact: bool = True) -> Fraction | float:
-    """Multi-step transition probability of the chain as a determinant.
-
-    steps = 0 degenerates to the indicator of x = y.  The float layer reuses
-    the exact entries and only swaps the determinant algorithm, so the two
-    layers isolate elimination error from entry error.
+    steps = 0 degenerates to the indicator of x = y.
     """
     if tq.steps == 0:
-        hit = tq.x.entries == tq.y.entries
-        return Fraction(int(hit)) if exact else float(hit)
-    matrix = _transition_matrix(tq)
-    return bareiss_determinant(matrix) if exact else _lu_determinant(matrix)
+        return Fraction(int(tq.x.entries == tq.y.entries))
+    q, s = tq.q, tq.steps
+    return bareiss_determinant([
+        [delta_neg_binomial(q, s, j - i, tq.y[j] - tq.x[i]) for j in range(tq.n)]
+        for i in range(tq.n)
+    ])
 
 
-def cdf_det(cq: CdfQuery, *, exact: bool = True) -> Fraction | float:
+def cdf_det(cq: CdfQuery) -> Fraction:
     """P[G(m, n) <= eta] as an n x n determinant of difference powers at eta + 1.
 
     This is the summed transition determinant of m steps from the origin.
     Every x_i is 0, so entry (i, j) = Delta^(j-i-1) w_m(eta + 1) depends on
     j - i alone: the matrix is Toeplitz, and only its 2n - 1 distinct values
     Delta^k w_m(eta + 1), k in [-n, n-2], are computed, as integers over one
-    common scale c (`delta_neg_binomial_orders`).  The exact layer takes the
-    determinant of the integer Toeplitz matrix by `toeplitz_determinant`
-    (Levinson modulo primes, O(n^2) word operations per prime) and
-    multiplies it by c^n once.  No leading minor can vanish: the leading
-    k x k block is the matrix of (m, k, eta) over the same scale, so its
-    determinant is c^-k P[G(m, k) <= eta] >= c^-k (1-q)^(mk) > 0 for
-    k <= n <= m.  The float layer runs LU on the same values.
+    common scale c (`delta_neg_binomial_orders`).  The determinant of the
+    integer Toeplitz matrix comes from `toeplitz_determinant` (Levinson
+    modulo primes, O(n^2) word operations per prime) and is multiplied by
+    c^n once, giving the exact Fraction.  No leading minor can vanish: the
+    leading k x k block is the matrix of (m, k, eta) over the same scale, so
+    its determinant is c^-k P[G(m, k) <= eta] >= c^-k (1-q)^(mk) > 0 for
+    k <= n <= m.
     """
-    n = cq.n
-    symbol, scale = delta_neg_binomial_orders(cq.q, cq.m, cq.eta + 1, -n, n - 2)
-    if not exact:
-        values = [scale * value for value in symbol]
-        return _lu_determinant([[values[j - i + n - 1] for j in range(n)] for i in range(n)])
-    return scale**n * toeplitz_determinant(symbol)
+    symbol, scale = delta_neg_binomial_orders(cq.q, cq.m, cq.eta + 1, -cq.n, cq.n - 2)
+    return scale**cq.n * toeplitz_determinant(symbol)
 
 
 def joint_cdf(

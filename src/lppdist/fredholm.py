@@ -82,17 +82,17 @@ _MEMO_BUDGET = 8 * 2**20
 
 #: Absolute tolerance the float routes declare; a probability further than
 #: this outside [0, 1] cannot be within it of the true value.
-_RANGE_SLACK = 1e-8
+NUMERIC_TOL = 1e-8
 
 
 def _probability(value: float, what: str) -> float:
-    """value, or PrecisionLossError when it lies further than _RANGE_SLACK outside [0, 1].
+    """value, or PrecisionLossError when it lies further than NUMERIC_TOL outside [0, 1].
 
     A value that is not a finite float fails the same test.
     """
-    if not -_RANGE_SLACK <= value <= 1.0 + _RANGE_SLACK:
+    if not -NUMERIC_TOL <= value <= 1.0 + NUMERIC_TOL:
         raise PrecisionLossError(
-            f"{what} is {value:.17g}, outside [0, 1] by more than {_RANGE_SLACK}"
+            f"{what} is {value:.17g}, outside [0, 1] by more than {NUMERIC_TOL}"
         )
     return value
 
@@ -339,12 +339,20 @@ def _full_circle_factors(qf: float, m: int, n: int, e: int, r2: float, r1: float
     gw = (1 - w)^n / (1 - qw)^e on w_l = r1 omega^l are the two contour
     factors of the kernel.  Both transforms are real up to roundoff: the
     factors take conjugate values at conjugate nodes.  Every entry of a
-    transform is bounded by the largest magnitude of its factor.
+    transform is bounded by the largest magnitude of its factor.  A factor
+    power that overflows, or underflows to a zero divisor, raises
+    PrecisionLossError, so no caller ever sees or keeps a non-finite factor.
     """
     z = circle_nodes(r2, count)
     w = circle_nodes(r1, count)
-    fz = (1.0 - qf * z) ** m / (1.0 - z) ** n
-    gw = (1.0 - w) ** n / (1.0 - qf * w) ** e
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            fz = (1.0 - qf * z) ** m / (1.0 - z) ** n
+            gw = (1.0 - w) ** n / (1.0 - qf * w) ** e
+        except FloatingPointError as exc:
+            raise PrecisionLossError(
+                f"contour factors at m = {m}, n = {n} on {count} nodes leave the float range"
+            ) from exc
     return (
         # .real alone is a view that keeps the complex array alive in the memo.
         np.fft.ifft(fz).real.copy(),

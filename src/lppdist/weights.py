@@ -68,7 +68,14 @@ class QuadratureError(RuntimeError):
 
 
 class PrecisionLossError(RuntimeError):
-    """Working precision cannot support the conditioning of a matrix."""
+    """A float or fixed-precision route cannot stand behind its answer.
+
+    Raised by the Gram route's conditioning check (a numerically singular or
+    ill-conditioned moment matrix at the requested digits, or too large a
+    box), and wherever a value, a contour summand or a contour factor leaves
+    the float range, including a probability outside [0, 1] by more than the
+    declared tolerance.
+    """
 
 
 MAX_STATES_ENV = "MEIXNER_MAX_STATES"

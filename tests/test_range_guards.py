@@ -2,8 +2,9 @@
 
 `cdf_biorth` and `cdf_fredholm` declare an absolute tolerance of 1e-8, so a
 value further than that outside [0, 1] is wrong by more than the tolerance
-and ends in PrecisionLossError.  An overflow while the Fredholm factors are
-built ends the same way, as a typed error, never as a RuntimeWarning.
+and ends in PrecisionLossError.  An overflow, or an underflow to a zero
+divisor, while the Fredholm factors are built ends the same way, as a typed
+error, never as a RuntimeWarning.
 """
 
 import math
@@ -21,6 +22,8 @@ from lppdist.weights import PrecisionLossError
 BIORTH_OUT_OF_RANGE = [(Fraction(9, 10), 15, 5, 344), (Fraction(1, 3), 100, 10, 87)]
 #: A Fredholm query whose factor products overflow a float.
 FREDHOLM_OVERFLOW = (Fraction(9, 10), 200, 5, 1956)
+#: A Fredholm query whose contour factor (1 - qw)^500 underflows to a zero divisor.
+FREDHOLM_UNDERFLOW = (Fraction(1, 2), 500, 500, 2414)
 
 
 @pytest.mark.parametrize("shape", BIORTH_OUT_OF_RANGE, ids=str)
@@ -31,11 +34,11 @@ def test_biorth_refuses_a_value_outside_the_unit_interval(shape):
 
 
 def test_fredholm_overflow_is_a_precision_loss_under_warnings_as_errors():
-    q, m, n, eta = FREDHOLM_OVERFLOW
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(PrecisionLossError, match="float range"):
-            cdf_fredholm(KernelSpec(q, m, n), eta)
+    for q, m, n, eta in (FREDHOLM_OVERFLOW, FREDHOLM_UNDERFLOW):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrecisionLossError, match="float range"):
+                cdf_fredholm(KernelSpec(q, m, n), eta)
 
 
 @pytest.mark.parametrize("value", [-2e-8, 1 + 2e-8, 2.39e282, math.inf, -math.inf, math.nan])
@@ -52,6 +55,7 @@ def test_probability_guard_passes_values_within_the_tolerance(value):
 @pytest.mark.parametrize("command, shape", [
     *[("cdf-biorth", shape) for shape in BIORTH_OUT_OF_RANGE],
     ("cdf-fredholm", FREDHOLM_OVERFLOW),
+    ("cdf-fredholm", FREDHOLM_UNDERFLOW),
 ], ids=str)
 def test_cli_exits_one_with_a_message(command, shape, capsys):
     q, m, n, eta = shape
