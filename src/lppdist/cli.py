@@ -22,8 +22,6 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
-
 from .detformulas import CdfQuery, cdf_det, joint_cdf, transition_det, TransitionQuery
 from .fredholm import _SECTION_CAP, NUMERIC_TOL, KernelSpec, cdf_biorth, cdf_fredholm
 from .lpp import exact_cdf_dp, mc_cdf, mc_cdfs
@@ -87,6 +85,8 @@ def _meixner(args, m: int, n: int):
     query = MeixnerEnsembleQuery(args.q, m, n, args.eta)
     if getattr(args, "route", "bruteforce") == "bruteforce":
         return _exact(meixner_cdf_bruteforce(query))
+    import mpmath
+
     value = meixner_cdf_gram(query, precision=args.precision)
     return {"value": mpmath.nstr(value, 17), "exact": None, "error_estimate": None}, 0.0, value
 

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .weights import GeometricParameter, PrecisionLossError, StateSpaceError, check_state_cap
 
 __all__ = [
@@ -171,6 +169,10 @@ _GRAM_MAX_SITES = 1_000_000
 
 def _box_moments(mq: MeixnerEnsembleQuery) -> list:
     """Power moments of the particle positions over the box, centred on its midpoint."""
+    # Imported here, as in `meixner_cdf_gram`: only the Gram route needs
+    # mpmath, and a package import without it stays about 4 MB smaller.
+    import mpmath
+
     a = mq.m - mq.n
     qf = mpmath.mpf(mq.q.value.numerator) / mq.q.value.denominator
     shift = mpmath.mpf(mq.box_high) / 2
@@ -199,6 +201,8 @@ def meixner_cdf_gram(mq: MeixnerEnsembleQuery, precision: int = 50):
     at that precision; all three are checked before Z is computed.  Returns
     an mpmath float with `precision` significant digits.
     """
+    import mpmath
+
     if precision < 10:
         raise ValueError(f"precision must be >= 10 digits, got {precision}")
     if mq.eta < 0:
