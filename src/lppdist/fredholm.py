@@ -29,8 +29,11 @@ every argument x at once, and the Cauchy core w/(w - z) = 1/(1 - rho
 omega^(k-l)), rho = r2/r1, is circulant: the double sum of the kernel is a
 geometric series in rho over one DFT of each factor.  No nodes x nodes array
 is ever built.  With P the series terms that rho^P leaves above machine
-epsilon, a kernel entry costs O(N log N + P) per node count N.  A kernel
-section of size s is a product of two Hankel matrices built from two 1-D
+epsilon, the memo keeps each DFT extended by its first P entries, so the P
+entries from any index on are one contiguous slice, and keeps the weights
+rho^p: a kernel entry costs O(N log N) per node count N the first time
+(the two DFTs) and O(P) after that (two slices, one product, one dot).  A
+kernel section of size s is a product of two Hankel matrices built from two 1-D
 sequences of length s + P - 1; it costs O(N log N + s + P) per node count
 and O(s^2 + s P) once, to assemble.  The sections decay geometrically along
 the diagonal, so `cdf_fredholm` assembles only the leading block that a
@@ -80,6 +83,8 @@ _SECTION_CAP = 2048
 #: Bytes of contour transforms kept across calls, over all entries.
 _MEMO_BUDGET = 8 * 2**20
 
+_EPS = float(np.finfo(float).eps)
+
 #: Absolute tolerance the float routes declare; a probability further than
 #: this outside [0, 1] cannot be within it of the true value.
 NUMERIC_TOL = 1e-8
@@ -100,7 +105,7 @@ def _probability(value: float, what: str) -> float:
 class _TransformMemo:
     """Least-recently-used memo of contour transforms, bounded in bytes.
 
-    `get(build, *args)` returns build(*args), a tuple of arrays and floats,
+    `get(build, *args)` returns build(*args), a tuple of arrays and numbers,
     and keeps it under the key (build, args): a builder reads nothing but its
     arguments, so the key holds exactly the inputs of its arithmetic.  Kept
     arrays are read-only.  The oldest entries are dropped once the kept
@@ -322,26 +327,30 @@ def cdf_biorth(spec: KernelSpec, eta: int) -> float:
 
 
 def _series_terms(spec: KernelSpec) -> int:
-    """Terms P of the geometric series in rho = r2/r1 that matter.
+    """Terms P of the geometric series in rho = r2/r1 that matter (`_geometric_terms`)."""
+    return _geometric_terms(spec.cfg.r2 / spec.cfg.r1)
 
-    P is the first power with rho^P / (1 - rho) below machine epsilon, which
-    leaves the tail under the stopping rule's roundoff floor.
-    """
-    rho = spec.cfg.r2 / spec.cfg.r1
-    eps = np.finfo(float).eps
-    return math.ceil(math.log(eps * (1.0 - rho)) / math.log(rho))
+
+def _geometric_terms(rho: float) -> int:
+    """The first power P with rho^P / (1 - rho) below machine epsilon, which
+    leaves the tail of the series under the stopping rule's roundoff floor."""
+    return math.ceil(math.log(_EPS * (1.0 - rho)) / math.log(rho))
 
 
 def _full_circle_factors(qf: float, m: int, n: int, e: int, r2: float, r1: float, count: int):
-    """ifft(fz), fft(gw)/N, max|fz| and max|gw| on N = count nodes.
+    """ifft(fz) and fft(gw)/N on N = count nodes, each extended by its first
+    P entries, max|fz|, max|gw| and P = min(N, `_geometric_terms(r2/r1)`).
 
     fz = (1 - qz)^m / (1 - z)^n on z_k = r2 omega^k and
     gw = (1 - w)^n / (1 - qw)^e on w_l = r1 omega^l are the two contour
     factors of the kernel.  Both transforms are real up to roundoff: the
     factors take conjugate values at conjugate nodes.  Every entry of a
-    transform is bounded by the largest magnitude of its factor.  A factor
-    power that overflows, or underflows to a zero divisor, raises
-    PrecisionLossError, so no caller ever sees or keeps a non-finite factor.
+    transform is bounded by the largest magnitude of its factor.  The
+    extension lets `_cauchy_series` read the P entries from index u mod N
+    on as one slice, where the indices would wrap past N; index t < N still
+    reads entry t.  A factor power that overflows, or underflows to a zero
+    divisor, raises PrecisionLossError, so no caller ever sees or keeps a
+    non-finite factor.
     """
     z = circle_nodes(r2, count)
     w = circle_nodes(r1, count)
@@ -353,13 +362,21 @@ def _full_circle_factors(qf: float, m: int, n: int, e: int, r2: float, r1: float
             raise PrecisionLossError(
                 f"contour factors at m = {m}, n = {n} on {count} nodes leave the float range"
             ) from exc
+    terms = min(count, _geometric_terms(r2 / r1))
+    fhat = np.fft.ifft(fz).real
+    ghat = np.fft.fft(gw).real / count
     return (
-        # .real alone is a view that keeps the complex array alive in the memo.
-        np.fft.ifft(fz).real.copy(),
-        np.fft.fft(gw).real / count,
+        np.concatenate([fhat, fhat[:terms]]),
+        np.concatenate([ghat, ghat[:terms]]),
         float(np.max(np.abs(fz))),
         float(np.max(np.abs(gw))),
+        terms,
     )
+
+
+def _series_weights(rho: float, terms: int):
+    """The weights rho^p, p < terms, of the geometric series in `_cauchy_series`."""
+    return (rho ** np.arange(terms),)
 
 
 def _factor_transforms(spec: KernelSpec, count: int):
@@ -381,13 +398,19 @@ def _cauchy_series(spec: KernelSpec, count: int, u: int, v: int):
     with fhat = ifft(fz) and ghat = fft(gw)/N, and the series folds to its
     first N terms over 1 - rho^N.  Returns the series, without the radius
     powers, and max|fz| max|gw| / (1 - rho), a bound on every summand
-    without those powers.  The series stops after `_series_terms` terms or
-    at P = N.
+    without those powers.  The series stops after P = `_series_terms` terms
+    or at P = N.
+
+    The memo holds both transforms extended by their first P entries and
+    the weights rho^p, so the P entries from u mod N and v mod N on are two
+    contiguous slices: a node count costs one product of P weights and one
+    dot, O(P), once its transforms are built.
     """
-    fhat, ghat, fmax, gmax = _factor_transforms(spec, count)
+    fhat, ghat, fmax, gmax, terms = _factor_transforms(spec, count)
     rho = spec.cfg.r2 / spec.cfg.r1
-    p = np.arange(min(count, _series_terms(spec)))
-    series = (fhat[(u + p) % count] * rho**p) @ ghat[(v + p) % count]
+    (weights,) = _TRANSFORMS.get(_series_weights, rho, terms)
+    i, j = u % count, v % count
+    series = (fhat[i:i + terms] * weights) @ ghat[j:j + terms]
     return series / (1.0 - rho**count), fmax * gmax / (1.0 - rho)
 
 
@@ -396,7 +419,8 @@ def kernel_eval(spec: KernelSpec, x: int, y: int) -> float:
 
     Both circles share the angles omega^k, so the Cauchy core w/(w - z) is
     circulant and the double trapezoid sum is a geometric series over one DFT
-    of each factor (`_cauchy_series`): O(N log N) per node count N.
+    of each factor (`_cauchy_series`): O(N log N) per node count N while the
+    memo builds the DFTs, O(P) once they are kept.
     """
     u, v = x + spec.n, y + spec.n
     powers = _radius_power(spec.cfg.r2, u) * _radius_power(spec.cfg.r1, -v)
@@ -452,7 +476,7 @@ def _section_factors(spec: KernelSpec, eta: int, size: int) -> tuple[np.ndarray,
     factors = {}
 
     def evaluate(count: int):
-        fhat, ghat, fmax, gmax = _factor_transforms(spec, count)
+        fhat, ghat, fmax, gmax, _ = _factor_transforms(spec, count)
         at = us % count
         f = factors["f"] = decay * fhat[at]
         g = factors["g"] = decay * ghat[at]
@@ -509,11 +533,10 @@ def _section_cut(f: np.ndarray, g: np.ndarray, size: int) -> int:
     a = _hankel_tail_norms(f, size)
     b = _hankel_tail_norms(g, size)
     tau = float(a[0] * b[0])
-    eps = float(np.finfo(float).eps)
     if tau < 1.0:
-        bound, allowed = a * b, eps * (1.0 - tau)
+        bound, allowed = a * b, _EPS * (1.0 - tau)
     else:
-        bound, allowed = a[0] * b + a * b[0] + a * b, eps
+        bound, allowed = a[0] * b + a * b[0] + a * b, _EPS
     return max(1, int(np.argmax(bound <= allowed)))
 
 

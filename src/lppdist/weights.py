@@ -142,13 +142,20 @@ class GeometricParameter:
 
     @classmethod
     def coerce(cls, q: "GeometricParameter | Fraction | str | int") -> "GeometricParameter":
+        """q as a GeometricParameter; a valid exact q is validated once and reused.
+
+        Floats are refused before the lookup: 0.5 equals Fraction(1, 2) and
+        hashes alike.  The lookup keys on the argument's type as well, so no
+        other type shares an entry either, and an invalid q, never kept,
+        raises on every call.
+        """
         if isinstance(q, cls):
             return q
         if isinstance(q, float):
             raise TypeError(
                 "q must be exact; pass a Fraction or a string like '1/2', not a float"
             )
-        return cls(Fraction(q))
+        return _exact_parameter(cls, q)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -187,6 +194,11 @@ class OrderedVector:
         return self.entries[i]
 
 
+@lru_cache(maxsize=256, typed=True)
+def _exact_parameter(cls, q) -> GeometricParameter:
+    return cls(Fraction(q))
+
+
 def _q(q) -> Fraction:
     return GeometricParameter.coerce(q).value
 
@@ -223,9 +235,17 @@ class ContourConfig:
 
     @classmethod
     def for_q(cls, q, nodes: int = 256) -> "ContourConfig":
-        """Default geometric spacing: r2, r1 at one and two thirds of (1, 1/q) on a log scale."""
-        inv = 1.0 / float(_q(q))
-        return cls(r2=inv ** (1.0 / 3.0), r1=inv ** (2.0 / 3.0), nodes=nodes)
+        """Default geometric spacing: r2, r1 at one and two thirds of (1, 1/q) on a log scale.
+
+        Built once per (q, nodes) and shared, which is safe because a config is frozen.
+        """
+        return _spaced_config(cls, _q(q), nodes)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _spaced_config(cls, q: Fraction, nodes: int) -> ContourConfig:
+    inv = 1.0 / float(q)
+    return cls(r2=inv ** (1.0 / 3.0), r1=inv ** (2.0 / 3.0), nodes=nodes)
 
 
 def geometric_pmf(q, k: int) -> Fraction:

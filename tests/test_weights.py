@@ -64,6 +64,22 @@ class TestGeometricParameter:
         with pytest.raises(ValueError):
             GeometricParameter(bad)
 
+    def test_reused_parameter_does_not_admit_equal_inexact_values(self):
+        # 0.5 and 0.5 + 0j equal Fraction(1, 2) and hash alike; a reused
+        # parameter must not be handed to them.
+        first = GeometricParameter.coerce(Fraction(1, 2))
+        assert GeometricParameter.coerce(Fraction(2, 4)) is first
+        for inexact in (0.5, np.float64(0.5), 0.5 + 0j):
+            with pytest.raises(TypeError):
+                GeometricParameter.coerce(inexact)
+        assert GeometricParameter.coerce("1/2") == first
+
+    @pytest.mark.parametrize("bad", [Fraction(3, 2), 0, "1", "x"])
+    def test_invalid_value_raises_on_every_call(self, bad):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                GeometricParameter.coerce(bad)
+
 
 class TestContourConfig:
     def test_radius_order_enforced(self):
@@ -88,6 +104,17 @@ class TestContourConfig:
         cfg = ContourConfig.for_q(q_canon)
         cfg.validate_for(q_canon)
         assert 1.0 < cfg.r2 < cfg.r1 < 1.0 / float(q_canon)
+
+    def test_for_q_is_shared_per_q_and_nodes_but_refuses_floats(self):
+        cfg = ContourConfig.for_q(Fraction(1, 2))
+        assert ContourConfig.for_q(GeometricParameter(Fraction(1, 2))) == cfg
+        assert ContourConfig.for_q("1/2", 256) == cfg
+        assert ContourConfig.for_q(Fraction(1, 2), 512).nodes == 512
+        assert cfg.nodes == 256
+        with pytest.raises(TypeError):
+            ContourConfig.for_q(0.5)
+        with pytest.raises(ValueError):
+            ContourConfig.for_q(Fraction(1, 2), 17)
 
 
 class TestGeometricPmf:
