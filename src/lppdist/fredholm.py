@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,8 +166,9 @@ class KernelSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.cfg is None:
-            object.__setattr__(self, "cfg", ContourConfig.for_q(self.q))
-        self.cfg.validate_for(self.q)
+            object.__setattr__(self, "cfg", _default_config(self.q))
+        else:
+            self.cfg.validate_for(self.q)
 
     @property
     def K(self) -> int:
@@ -177,6 +179,14 @@ class KernelSpec:
     def denominator_power(self) -> int:
         """Exponent of (1 - qw) in the kernel denominator for this variant."""
         return self.m if self.variant == "derivation" else self.n
+
+
+@lru_cache(maxsize=256)
+def _default_config(q: GeometricParameter) -> ContourConfig:
+    """`ContourConfig.for_q(q)`, validated for q once and shared: a config is frozen."""
+    cfg = ContourConfig.for_q(q)
+    cfg.validate_for(q)
+    return cfg
 
 
 def _check_index(spec: KernelSpec, j: int) -> None:
@@ -346,7 +356,7 @@ def _full_circle_factors(qf: float, m: int, n: int, e: int, r2: float, r1: float
     factors of the kernel.  Both transforms are real up to roundoff: the
     factors take conjugate values at conjugate nodes.  Every entry of a
     transform is bounded by the largest magnitude of its factor.  The
-    extension lets `_cauchy_series` read the P entries from index u mod N
+    extension lets `kernel_eval` read the P entries from index u mod N
     on as one slice, where the indices would wrap past N; index t < N still
     reads entry t.  A factor power that overflows, or underflows to a zero
     divisor, raises PrecisionLossError, so no caller ever sees or keeps a
@@ -375,7 +385,7 @@ def _full_circle_factors(qf: float, m: int, n: int, e: int, r2: float, r1: float
 
 
 def _series_weights(rho: float, terms: int):
-    """The weights rho^p, p < terms, of the geometric series in `_cauchy_series`."""
+    """The weights rho^p, p < terms, of the geometric series in `kernel_eval`."""
     return (rho ** np.arange(terms),)
 
 
@@ -386,50 +396,47 @@ def _factor_transforms(spec: KernelSpec, count: int):
                            spec.denominator_power, cfg.r2, cfg.r1, count)
 
 
-def _cauchy_series(spec: KernelSpec, count: int, u: int, v: int):
-    """Trapezoid double sum around the circulant Cauchy core, never forming it.
+def kernel_eval(spec: KernelSpec, x: int, y: int) -> float:
+    """Kernel entry K(x, y) by the double contour integral.
 
-    With z_k = r2 omega^k, w_l = r1 omega^l and rho = r2/r1, the core is
-    w/(w - z) = sum_p rho^p omega^(p(k-l)), so for integer offsets u, v
+    Both circles share the angles omega^k, and with z_k = r2 omega^k,
+    w_l = r1 omega^l and rho = r2/r1 the Cauchy core is circulant,
+    w/(w - z) = sum_p rho^p omega^(p(k-l)).  So for u = x + n, v = y + n
 
         1/N^2 sum_{k,l} fz_k z_k^u w_l/(w_l - z_k) gw_l w_l^(-v)
             = r2^u r1^(-v) sum_p rho^p fhat[(u+p) mod N] ghat[(v+p) mod N]
 
-    with fhat = ifft(fz) and ghat = fft(gw)/N, and the series folds to its
-    first N terms over 1 - rho^N.  Returns the series, without the radius
-    powers, and max|fz| max|gw| / (1 - rho), a bound on every summand
-    without those powers.  The series stops after P = `_series_terms` terms
-    or at P = N.
+    with fhat = ifft(fz) and ghat = fft(gw)/N (`_full_circle_factors`),
+    and the series folds to its first N terms over 1 - rho^N.  It stops
+    after P = `_series_terms` terms or at P = N.  Every summand, without
+    the radius powers, is bounded by max|fz| max|gw| / (1 - rho), the
+    stopping scale.
 
     The memo holds both transforms extended by their first P entries and
-    the weights rho^p, so the P entries from u mod N and v mod N on are two
-    contiguous slices: a node count costs one product of P weights and one
-    dot, O(P), once its transforms are built.
+    the weights rho^p (`_series_weights`), so the P entries from u mod N
+    and v mod N on are two contiguous slices.  float(q), rho, the radius
+    powers and the fixed parts of both memo keys are resolved once per
+    call; a node count then costs two memo reads, two slices, one product
+    of P weights and one dot, O(P) and a few microseconds once its
+    transforms are kept (O(N log N) while the memo builds them), and the
+    doubling loop checks the two Python floats without numpy.
     """
-    fhat, ghat, fmax, gmax, terms = _factor_transforms(spec, count)
-    rho = spec.cfg.r2 / spec.cfg.r1
-    (weights,) = _TRANSFORMS.get(_series_weights, rho, terms)
-    i, j = u % count, v % count
-    series = (fhat[i:i + terms] * weights) @ ghat[j:j + terms]
-    return series / (1.0 - rho**count), fmax * gmax / (1.0 - rho)
-
-
-def kernel_eval(spec: KernelSpec, x: int, y: int) -> float:
-    """Kernel entry K(x, y) by the double contour integral.
-
-    Both circles share the angles omega^k, so the Cauchy core w/(w - z) is
-    circulant and the double trapezoid sum is a geometric series over one DFT
-    of each factor (`_cauchy_series`): O(N log N) per node count N while the
-    memo builds the DFTs, O(P) once they are kept.
-    """
+    cfg = spec.cfg
+    r2, r1 = cfg.r2, cfg.r1
     u, v = x + spec.n, y + spec.n
-    powers = _radius_power(spec.cfg.r2, u) * _radius_power(spec.cfg.r1, -v)
+    powers = _radius_power(r2, u) * _radius_power(r1, -v)
+    factor_args = (float(spec.q), spec.m, spec.n, spec.denominator_power, r2, r1)
+    rho = r2 / r1
+    damping = 1.0 - rho
 
     def evaluate(count: int):
-        series, bound = _cauchy_series(spec, count, u, v)
-        return powers * float(series), powers * bound
+        fhat, ghat, fmax, gmax, terms = _TRANSFORMS.get(_full_circle_factors, *factor_args, count)
+        (weights,) = _TRANSFORMS.get(_series_weights, rho, terms)
+        i, j = u % count, v % count
+        series = (fhat[i:i + terms] * weights).dot(ghat[j:j + terms])
+        return powers * (float(series) / (1.0 - rho**count)), powers * (fmax * gmax / damping)
 
-    return float(_adaptive_batch(evaluate, spec.cfg.nodes))
+    return float(_adaptive_batch(evaluate, cfg.nodes))
 
 
 def _reach(seq: np.ndarray, size: int) -> np.ndarray:
@@ -453,7 +460,7 @@ def _section_factors(spec: KernelSpec, eta: int, size: int) -> tuple[np.ndarray,
         C[i, j] = sum_{t >= 0} F(o_i + t) G(o_j + t),
         F(u) = rho^(u/2) ifft(fz)[u mod N],  G(u) = rho^(u/2) fft(gw)[u mod N] / N,
 
-    the series of `_cauchy_series` on the periodic continuation instead of
+    the series of `kernel_eval` on the periodic continuation instead of
     folded over 1 - rho^N.  Returns f[t] = F(o_0 + t) and g[t] = G(o_0 + t)
     over the window t < size - 1 + P, P = `_series_terms`; past the window
     both are taken as zero, so C = H_f H_g^T with H_f[i, t] = f[i + t].
