@@ -49,6 +49,9 @@ count.  The Fredholm factors stay on the full circle: the section is pinned
 to a full-circle oracle at 1e-14, which a half-circle transform of the
 factors exceeds by roundoff.  Every route takes its nodes from
 `circle_nodes`, which scales one shared table of unit roots per N.
+
+The families are evaluated only in these batches, at every x the pairing
+reads; the module offers no pointwise a_j(x) or b_j(x).
 """
 
 from __future__ import annotations
@@ -68,13 +71,10 @@ from .weights import adaptive_batch as _adaptive_batch
 __all__ = [
     "KernelSpec",
     "VARIANTS",
-    "a_fn",
-    "b_fn",
     "biorthogonal_pairing",
     "kernel_eval",
     "cdf_biorth",
     "cdf_fredholm",
-    "c_matrix",
 ]
 
 VARIANTS = ("derivation", "printed")
@@ -189,11 +189,6 @@ def _default_config(q: GeometricParameter) -> ContourConfig:
     return cfg
 
 
-def _check_index(spec: KernelSpec, j: int) -> None:
-    if not 0 <= j < spec.n:
-        raise ValueError(f"family index must satisfy 0 <= j < n = {spec.n}, got {j}")
-
-
 def _radius_power(radius: float, exponent: int) -> float:
     """radius^exponent, or PrecisionLossError when it is not a finite float.
 
@@ -289,20 +284,6 @@ def _b_values(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
         return powers * table[:, (exps - 1) % count] / count, scale
 
     return _adaptive_batch(evaluate, spec.cfg.nodes)
-
-
-def a_fn(spec: KernelSpec, j: int, x: int) -> float:
-    """Value a_j(x); for x >= 1 it is (q-1)^(j+K)/j! times a degree-j monic
-    polynomial in x (at x = 0 the integrand picks up an extra residue at the
-    origin, so the polynomial identity starts at 1)."""
-    _check_index(spec, j)
-    return float(_a_values(spec, np.array([x]))[j, 0])
-
-
-def b_fn(spec: KernelSpec, j: int, x: int) -> float:
-    """Value b_j(x); vanishes for x <= 0 and decays at worst like r1^(-x)."""
-    _check_index(spec, j)
-    return float(_b_values(spec, np.array([x]))[j, 0])
 
 
 def biorthogonal_pairing(spec: KernelSpec, upper: int) -> np.ndarray:
@@ -625,18 +606,3 @@ def cdf_fredholm(
             )
         prev = value
         size = min(2 * size, _SECTION_CAP)
-
-
-def c_matrix(n: int) -> list[list[int]]:
-    """Unit lower-triangular change of basis linking difference powers of w_m to b.
-
-    c[j][l] = binom(n-l-1, j-l) for j >= l, else 0; its determinant is 1, so
-    it can absorb column operations in the pairing determinant without
-    changing the value.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    return [
-        [math.comb(n - l - 1, j - l) if j >= l else 0 for l in range(n)]
-        for j in range(n)
-    ]

@@ -14,9 +14,10 @@ high-precision Gram route that forms the box moment matrix numerically and
 takes its determinant.  The brute-force numerator covers every cell of the
 box: for q = num/den it sums integer site weights scaled by
 den^(eta+n-1) and divides once, and it builds Delta^2 coordinate by
-coordinate from prefix products, so a cell costs one multiply-add.  The
-module also evaluates the underlying Meixner polynomials exactly, by their
-three-term recurrence.
+coordinate from prefix products, so a cell costs one multiply-add; the
+weight rho and the Vandermonde product enter only there, on integers, and
+are not offered on their own.  The module also evaluates the underlying
+Meixner polynomials exactly, by their three-term recurrence.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from .weights import GeometricParameter, PrecisionLossError, StateSpaceError, ch
 
 __all__ = [
     "MeixnerEnsembleQuery",
-    "PrecisionLossError",
-    "vandermonde",
-    "meixner_weight",
     "partition_function",
     "meixner_cdf_bruteforce",
     "meixner_cdf_gram",
@@ -63,24 +61,6 @@ class MeixnerEnsembleQuery:
     def box_high(self) -> int:
         """Largest admissible particle position, eta + n - 1."""
         return self.eta + self.n - 1
-
-
-def vandermonde(x) -> int:
-    """prod_{i<j} (x_j - x_i) over one particle configuration."""
-    xs = list(x)
-    out = 1
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            out *= xs[j] - xs[i]
-    return out
-
-
-def meixner_weight(q, a: int, x: int) -> Fraction:
-    """Single-particle weight binom(x + a, x) q^x (a = m - n >= 0)."""
-    qv = GeometricParameter.coerce(q).value
-    if x < 0:
-        return Fraction(0)
-    return Fraction(math.comb(x + a, x)) * qv**x
 
 
 def partition_function(q, m: int, n: int) -> Fraction:

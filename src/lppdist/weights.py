@@ -11,12 +11,10 @@ On top of these the module provides the forward difference calculus
     (Delta f)(x)      = f(x+1) - f(x)
     (Delta^-1 f)(x)   = sum_{y <= x-1} f(y)     (f vanishing below a support bound)
 
-with integer powers of either sign, the discrete kernels h^{*k} that represent
-repeated summation as a convolution, and a contour-integral evaluation of
-Delta^k w_m built on trapezoidal quadrature over circles.  Exact operations
-return `fractions.Fraction`, on w_m from one integer table
-(`delta_neg_binomial_orders`); the contour route returns floats and is the
-independent cross-check used by the test suite.
+with integer powers of either sign.  Exact operations return
+`fractions.Fraction`, on w_m from one integer table
+(`delta_neg_binomial_orders`).  For the contour route it holds the circle
+nodes and the one adaptive doubling loop of every trapezoidal quadrature.
 
 It is also the one module the four routes share: besides the calculus it
 holds the error types, the MEIXNER_MAX_STATES state cap (`check_state_cap`)
@@ -30,6 +28,7 @@ routes.  No route imports another.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,8 +54,6 @@ __all__ = [
     "delta_pow",
     "delta_neg_binomial",
     "delta_neg_binomial_orders",
-    "heaviside_conv_pow",
-    "delta_w_contour",
     "circle_nodes",
     "adaptive_batch",
     "toeplitz_determinant",
@@ -72,9 +69,10 @@ class PrecisionLossError(RuntimeError):
 
     Raised by the Gram route's conditioning check (a numerically singular or
     ill-conditioned moment matrix at the requested digits, or too large a
-    box), and wherever a value, a contour summand or a contour factor leaves
+    box), wherever a value, a contour summand or a contour factor leaves
     the float range, including a probability outside [0, 1] by more than the
-    declared tolerance.
+    declared tolerance, and by a float route whose q rounds to 0.0 or 1.0
+    (`GeometricParameter.__float__`).
     """
 
 
@@ -152,24 +150,32 @@ class GeometricParameter:
     def coerce(cls, q: "GeometricParameter | Fraction | str | int") -> "GeometricParameter":
         """q as a GeometricParameter; a valid exact q is validated once and reused.
 
-        Floats are refused before the lookup: 0.5 equals Fraction(1, 2) and
-        hashes alike.  A Fraction is looked up by its numerator and
-        denominator, which hash faster than it does; any other argument keys
-        on its type as well, so no other type shares an entry either.  An
+        A Fraction is looked up by its numerator and denominator, which hash
+        faster than it does.  Any other argument goes through the
+        constructor, which refuses floats, and its value is looked up the
+        same way, so "1/2" and Fraction(2, 4) share one instance.  An
         invalid q, never kept, raises on every call.
         """
         if isinstance(q, cls):
             return q
         if type(q) is Fraction:
             return _fraction_parameter(cls, q.numerator, q.denominator)
-        if isinstance(q, float):
-            raise TypeError(
-                "q must be exact; pass a Fraction or a string like '1/2', not a float"
-            )
-        return _exact_parameter(cls, q)
+        value = cls(q).value
+        return _fraction_parameter(cls, value.numerator, value.denominator)
 
     def __float__(self) -> float:
-        return self._float
+        """q as a float, for the float routes.
+
+        Raises PrecisionLossError when q rounds to 0.0 or 1.0, where the
+        geometric law of the float routes degenerates; the exact routes
+        never take this float, so they still answer such a q.
+        """
+        qf = self._float
+        if not 0.0 < qf < 1.0:
+            raise PrecisionLossError(
+                f"q rounds to {qf} as a float; the float routes need it strictly inside (0, 1)"
+            )
+        return qf
 
     def __str__(self) -> str:
         return str(self.value)
@@ -177,12 +183,16 @@ class GeometricParameter:
 
 @dataclass(frozen=True)
 class OrderedVector:
-    """A point of the ordered cone: a weakly increasing tuple of integers."""
+    """A point of the ordered cone: a weakly increasing tuple of integers.
+
+    Entries pass through `operator.index`, so a float or a string raises
+    TypeError instead of being truncated or parsed.
+    """
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ent = tuple(int(e) for e in self.entries)
+        ent = tuple(map(operator.index, self.entries))
         object.__setattr__(self, "entries", ent)
         if len(ent) == 0:
             raise ValueError("ordered vector must have at least one entry")
@@ -203,11 +213,6 @@ class OrderedVector:
 
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
-
-
-@lru_cache(maxsize=256, typed=True)
-def _exact_parameter(cls, q) -> GeometricParameter:
-    return cls(Fraction(q))
 
 
 @lru_cache(maxsize=256)
@@ -281,20 +286,6 @@ def neg_binomial(q, m: int, x: int) -> Fraction:
     if x < 0:
         return Fraction(0)
     return (1 - qv) ** m * math.comb(x + m - 1, x) * qv**x
-
-
-def heaviside_conv_pow(k: int, x: int) -> int:
-    """k-fold convolution power of the shifted step h(x) = 1{x >= 1}.
-
-    h^{*k}(x) = binom(x-1, k-1) for x >= k and 0 otherwise; convolving with
-    h^{*k} realizes k-fold backward summation (Delta^-k) of a function whose
-    support is bounded below.
-    """
-    if k < 1:
-        raise ValueError(f"convolution power k must be >= 1, got {k}")
-    if x < k:
-        return 0
-    return math.comb(x - 1, k - 1)
 
 
 def delta_pow(
@@ -489,58 +480,6 @@ def adaptive_batch(evaluate, start_nodes: int):
         prev = cur
         count *= 2
     raise QuadratureError(f"batched contour quadrature did not stabilize within {MAX_NODES} nodes")
-
-
-def delta_w_contour(q, m: int, k: int, x: int, cfg: ContourConfig | None = None) -> float:
-    """Contour evaluation of Delta^k w_m(x).
-
-    Represents the difference power as
-
-        Delta^k w_m(x) = (1-q)^m /(2 pi i) oint (1-z)^k / ((1-qz)^m z^(x+k+1)) dz
-
-    over a circle around the origin, by the trapezoidal rule doubled in
-    `adaptive_batch`.  For k >= 0 the integrand has poles only at 0 and 1/q
-    and the configured inner radius r2 < 1/q is used; for k < 0 the factor
-    (1-z)^k adds a pole at z = 1, so the integration circle must stay inside
-    the unit disk and a dedicated radius min(0.9, (1+q)/2) < 1 overrides
-    cfg.r2.  Raises PrecisionLossError when a summand leaves the float range,
-    or when the roundoff floor of the converged sum, ROUNDOFF (1-q)^m times
-    its largest summand, exceeds 1e-8 max(1, |value|): for k < 0 the summands
-    grow like radius^-x while the value stays bounded.
-    """
-    if m < 1:
-        raise ValueError(f"convolution power m must be >= 1, got {m}")
-    qf = float(_q(q))
-    if cfg is None:
-        cfg = ContourConfig.for_q(q)
-    if k >= 0:
-        cfg.validate_for(q)
-        radius = cfg.r2
-    else:
-        radius = min(0.9, (1.0 + qf) / 2.0)
-    scale = 0.0
-
-    def evaluate(count: int):
-        nonlocal scale
-        z = circle_nodes(radius, count)
-        terms = (1 - z) ** k / ((1 - qf * z) ** m * z ** (x + k + 1)) * z
-        scale = np.max(np.abs(terms))
-        return np.mean(terms), scale
-
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        try:
-            val = adaptive_batch(evaluate, cfg.nodes)
-        except FloatingPointError as exc:
-            raise PrecisionLossError(
-                f"contour summands for Delta^{k} w_{m}({x}) leave the float range"
-            ) from exc
-    weight = (1.0 - qf) ** m
-    value = weight * float(np.real(val))
-    if ROUNDOFF * weight * scale > 1e-8 * max(1.0, abs(value)):
-        raise PrecisionLossError(
-            f"roundoff floor of the contour sum for Delta^{k} w_{m}({x}) exceeds 1e-8"
-        )
-    return value
 
 
 #: Primes come from just below 2^30, so Python reduces a big integer by one

@@ -15,16 +15,14 @@ import numpy as np
 import pytest
 
 from conftest import FLOAT_TOL, Q_CANON
+from oracles import a_fn, b_fn, c_matrix
 from lppdist import (
     ContourConfig,
     KernelSpec,
     QuadratureError,
     VARIANTS,
-    a_fn,
-    b_fn,
     bareiss_determinant,
     biorthogonal_pairing,
-    c_matrix,
     cdf_biorth,
     cdf_fredholm,
     delta_neg_binomial,

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import Q_CANON
+from oracles import meixner_weight, vandermonde
 from lppdist import (
     CdfQuery,
     MeixnerEnsembleQuery,
@@ -25,9 +26,7 @@ from lppdist import (
     meixner_cdf_bruteforce,
     meixner_cdf_gram,
     meixner_poly,
-    meixner_weight,
     partition_function,
-    vandermonde,
 )
 from lppdist.weights import MAX_STATES_ENV
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CONTOUR_TOL, Q_CANON
+from oracles import delta_w_contour, heaviside_conv_pow
 from lppdist import (
     ContourConfig,
     GeometricParameter,
@@ -22,9 +23,7 @@ from lppdist import (
     circle_nodes,
     delta_neg_binomial,
     delta_pow,
-    delta_w_contour,
     geometric_pmf,
-    heaviside_conv_pow,
     neg_binomial,
 )
 from lppdist.weights import adaptive_batch
